@@ -1024,11 +1024,11 @@ let mtta_cmd =
     | c ->
         Format.printf "  states: %d@." (Ctmc.Explore.n_states c);
         Format.printf "  mean time to full degradation: %.4f hours@."
-          (Ctmc.Absorb.mean_time_to_absorption c);
+          (Ctmc.Absorb.mean_time_to_absorption ?obs ?profile c);
         List.iter
           (fun t ->
             Format.printf "  unreliability [0,%g]: %.6f@." t
-              (Ctmc.Measure.ever c ~until:t (fun m ->
+              (Ctmc.Measure.ever ?obs ?profile c ~until:t (fun m ->
                    Itua.Model.improper h 0 m)))
           [ 5.0; 10.0; 24.0 ];
         (match (metrics_out, obs) with

@@ -15,15 +15,15 @@ type t = {
 let n_markings t = List.length t.markings
 
 let sampled ~runs ~horizon ~max_markings ~seed ~fallback ~loop model =
-  let seen = Hashtbl.create 256 in
+  let seen = Ctmc.Walker.KeyTbl.create 256 in
   let samples = ref [] in
   let count = ref 0 in
   let loop_msg = ref loop in
   let consider m =
     if !count < max_markings then begin
       let key = (San.Marking.int_snapshot m, San.Marking.float_snapshot m) in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
+      if not (Ctmc.Walker.KeyTbl.mem seen key) then begin
+        Ctmc.Walker.KeyTbl.add seen key ();
         samples := San.Marking.copy m :: !samples;
         incr count
       end
@@ -71,12 +71,12 @@ let build ?(max_states = 200_000) ?(max_work = 25_000) ?(runs = 3)
     ?(horizon = 10.0) ?(max_markings = 500) ?(seed = 7L) model =
   let vanishing = ref [] in
   let n_vanishing = ref 0 in
-  let seen_vanishing = Hashtbl.create 64 in
+  let seen_vanishing = Ctmc.Walker.KeyTbl.create 64 in
   let on_vanishing m (_ : San.Activity.t list) =
     if !n_vanishing < max_states then begin
       let k = Ctmc.Walker.key_of_marking m in
-      if not (Hashtbl.mem seen_vanishing k) then begin
-        Hashtbl.add seen_vanishing k ();
+      if not (Ctmc.Walker.KeyTbl.mem seen_vanishing k) then begin
+        Ctmc.Walker.KeyTbl.add seen_vanishing k ();
         vanishing := San.Marking.copy m :: !vanishing;
         incr n_vanishing
       end

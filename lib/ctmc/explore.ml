@@ -5,13 +5,37 @@ exception Too_many_states = Walker.Too_many_states
 
 type key = Walker.key
 
+(* Transitions in compressed sparse rows: state [i]'s merged outgoing
+   transitions are [col.(k), rate.(k)] for [k] in [row.(i) .. row.(i+1)-1],
+   sorted by target. *)
 type t = {
   model : San.Model.t;
   states : key array;
   initial_dist : (int * float) list;
-  transitions : (int * float) list array;
+  row : int array;
+  col : int array;
+  rate : float array;
   exit_rates : float array;
 }
+
+(* Growable array for building the CSR arrays (a float buffer stays a flat
+   float array). *)
+module Buf = struct
+  type 'a t = { mutable a : 'a array; mutable len : int }
+
+  let create x = { a = Array.make 1024 x; len = 0 }
+
+  let push b x =
+    if b.len = Array.length b.a then begin
+      let a = Array.make (2 * b.len) x in
+      Array.blit b.a 0 a 0 b.len;
+      b.a <- a
+    end;
+    b.a.(b.len) <- x;
+    b.len <- b.len + 1
+
+  let contents b = Array.sub b.a 0 b.len
+end
 
 let restore = Walker.restore
 
@@ -80,10 +104,10 @@ let explore ?(max_states = 200_000) ?(canon = fun k -> k) ?(audit = false)
         Hashtbl.replace tbl c (prev +. r));
     tbl
   in
-  let audited = Hashtbl.create 256 in
+  let audited = Walker.KeyTbl.create 256 in
   let audit_key k ck =
-    if not (Hashtbl.mem audited k) then begin
-      Hashtbl.add audited k ();
+    if not (Walker.KeyTbl.mem audited k) then begin
+      Walker.KeyTbl.add audited k ();
       if canon ck <> ck then
         raise
           (Unsound_canon
@@ -122,56 +146,89 @@ let explore ?(max_states = 200_000) ?(canon = fun k -> k) ?(audit = false)
     resolve_vanishing model (San.Model.initial_marking model)
     |> List.map (fun (k, p) -> (intern k, p))
   in
-  let transitions = ref [] (* (source, target, rate), reversed *) in
+  (* The frontier pops ids in interning order, so rows are appended in
+     state order. Parallel transitions to one target are summed in
+     emission order; [slot.(j)] is [j]'s position in the current row's
+     scratch, or -1. *)
+  let row = Buf.create 0 and col = Buf.create 0 and rate = Buf.create 0.0 in
+  let exit_rates = Buf.create 0.0 in
+  let slot = ref (Array.make 1024 (-1)) in
+  let targets = Buf.create 0 and sums = Buf.create 0.0 in
+  Buf.push row 0;
   while not (Queue.is_empty frontier) do
     let i = Queue.pop frontier in
     let m = restore model (Walker.Pool.get pool i) in
+    targets.len <- 0;
+    sums.len <- 0;
     expand model m (fun k r ->
         let j = intern k in
-        if j <> i then transitions := (i, j, r) :: !transitions)
+        if j <> i then begin
+          if j >= Array.length !slot then begin
+            let a = Array.make (2 * (j + 1)) (-1) in
+            Array.blit !slot 0 a 0 (Array.length !slot);
+            slot := a
+          end;
+          let p = !slot.(j) in
+          if p >= 0 then sums.a.(p) <- sums.a.(p) +. r
+          else begin
+            !slot.(j) <- targets.len;
+            Buf.push targets j;
+            Buf.push sums (0.0 +. r)
+          end
+        end);
+    let sorted = Buf.contents targets in
+    Array.sort Int.compare sorted;
+    let out = ref 0.0 in
+    for q = 0 to Array.length sorted - 1 do
+      let j = sorted.(q) in
+      let r = sums.a.(!slot.(j)) in
+      !slot.(j) <- -1;
+      Buf.push col j;
+      Buf.push rate r;
+      out := !out +. r
+    done;
+    Buf.push row col.len;
+    Buf.push exit_rates !out
   done;
   let n = Walker.Pool.size pool in
-  let merged = Array.make n [] in
-  (* Merge parallel transitions (same source and target). *)
-  let per_source = Array.make n [] in
-  List.iter
-    (fun (i, j, r) -> per_source.(i) <- (j, r) :: per_source.(i))
-    !transitions;
-  for i = 0 to n - 1 do
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (j, r) ->
-        let prev = Option.value ~default:0.0 (Hashtbl.find_opt tbl j) in
-        Hashtbl.replace tbl j (prev +. r))
-      per_source.(i);
-    merged.(i) <-
-      Hashtbl.fold (fun j r acc -> (j, r) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  done;
-  let exit_rates =
-    Array.map (List.fold_left (fun acc (_, r) -> acc +. r) 0.0) merged
-  in
   (match obs with
   | None -> ()
   | Some reg ->
       let module R = Obs.Registry in
       let s = R.scope reg "ctmc" in
       R.add (R.counter s "explore_states") n;
-      R.add
-        (R.counter s "explore_transitions")
-        (Array.fold_left (fun acc ts -> acc + List.length ts) 0 merged));
+      R.add (R.counter s "explore_transitions") col.len;
+      R.set
+        (R.gauge s "intern_max_bucket")
+        (float_of_int (Walker.Pool.stats pool).Hashtbl.max_bucket_length));
   (match profile with None -> () | Some p -> Obs.Profile.leave p);
   {
     model;
     states = Array.init n (Walker.Pool.get pool);
     initial_dist;
-    transitions = merged;
-    exit_rates;
+    row = Buf.contents row;
+    col = Buf.contents col;
+    rate = Buf.contents rate;
+    exit_rates = Buf.contents exit_rates;
   }
 
 let n_states c = Array.length c.states
 let initial_dist c = c.initial_dist
-let transitions c i = c.transitions.(i)
+
+let transitions c i =
+  let rec collect k acc =
+    if k < c.row.(i) then acc
+    else collect (k - 1) ((c.col.(k), c.rate.(k)) :: acc)
+  in
+  collect (c.row.(i + 1) - 1) []
+
+let fold_row c i f init =
+  let acc = ref init in
+  for k = c.row.(i) to c.row.(i + 1) - 1 do
+    acc := f !acc c.col.(k) c.rate.(k)
+  done;
+  !acc
+
 let exit_rate c i = c.exit_rates.(i)
 let marking c i = restore c.model c.states.(i)
 
@@ -179,15 +236,51 @@ let eval c f = Array.init (n_states c) (fun i -> f (marking c i))
 
 let max_exit_rate c = Array.fold_left Float.max 0.0 c.exit_rates
 
+(* w = v P with P = I + Q/lambda. The float expressions and the order in
+   which they accumulate into [w] are the solvers' numerical contract:
+   changing either changes every transient and steady-state figure in its
+   last bits. The row loop reads unchecked: [row] is non-decreasing from 0
+   to [Array.length col], every [col] entry is a state id below [n], and
+   [w] was checked to have length [n]. *)
+let uniformized_step c lambda v w =
+  let n = n_states c in
+  if Array.length v <> n || Array.length w <> n || v == w then
+    invalid_arg "Ctmc.Explore.uniformized_step: buffers";
+  Array.fill w 0 n 0.0;
+  for i = 0 to n - 1 do
+    let vi = v.(i) in
+    if vi <> 0.0 then begin
+      let out = c.exit_rates.(i) in
+      w.(i) <- w.(i) +. (vi *. (1.0 -. (out /. lambda)));
+      for k = c.row.(i) to c.row.(i + 1) - 1 do
+        let j = Array.unsafe_get c.col k in
+        let r = Array.unsafe_get c.rate k in
+        Array.unsafe_set w j (Array.unsafe_get w j +. (vi *. r /. lambda))
+      done
+    end
+  done
+
 let make_absorbing c is_absorbing =
+  let n = n_states c in
+  let keep = Array.init n (fun i -> not (is_absorbing i)) in
+  let row = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    row.(i + 1) <-
+      (row.(i) + if keep.(i) then c.row.(i + 1) - c.row.(i) else 0)
+  done;
+  let col = Array.make row.(n) 0 and rate = Array.make row.(n) 0.0 in
+  for i = 0 to n - 1 do
+    if keep.(i) then begin
+      let len = row.(i + 1) - row.(i) in
+      Array.blit c.col c.row.(i) col row.(i) len;
+      Array.blit c.rate c.row.(i) rate row.(i) len
+    end
+  done;
   {
     c with
-    transitions =
-      Array.mapi
-        (fun i ts -> if is_absorbing i then [] else ts)
-        c.transitions;
+    row;
+    col;
+    rate;
     exit_rates =
-      Array.mapi
-        (fun i r -> if is_absorbing i then 0.0 else r)
-        c.exit_rates;
+      Array.mapi (fun i r -> if keep.(i) then r else 0.0) c.exit_rates;
   }

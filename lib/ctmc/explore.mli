@@ -10,7 +10,16 @@
     Limits: effects must be deterministic given the marking (an effect
     that draws from the random stream raises through
     {!San.Activity.stream_exn}), and the reachable stable state space must
-    be finite (bounded by [max_states]). *)
+    be finite (bounded by [max_states]).
+
+    {b Representation.} States are interned by {!Walker.Pool} (a full-key
+    hash), numbered in first-seen breadth-first order. Transitions are
+    stored as compressed sparse rows: three flat arrays [row] (length
+    [n + 1]), [col] and [rate], with state [i]'s outgoing transitions at
+    positions [row.(i) .. row.(i+1) - 1], sorted by target, parallel
+    transitions to one target summed in the order exploration emitted
+    them, and self-loops dropped. The rows are built directly by the
+    frontier loop; no per-transition list or tuple is allocated. *)
 
 exception Non_markovian of string
 (** A timed activity had a non-exponential distribution in some reachable
@@ -39,8 +48,11 @@ val explore :
   t
 (** Builds the CTMC. Default [max_states] is 200_000.
 
-    [obs] receives the explored state and (merged) transition counts in
-    scope ["ctmc"]; [profile] attributes the exploration to the
+    [obs] receives, in scope ["ctmc"], the explored state and (merged)
+    transition counts ([explore_states], [explore_transitions]) and the
+    gauge [intern_max_bucket], the longest bucket of the state-interning
+    table — a few entries with a healthy hash, hundreds or thousands
+    if the key hash collapses; [profile] attributes the exploration to the
     [Ctmc_explore] phase (the phase is left open on an exploration
     exception, which aborts the analysis anyway).
 
@@ -69,21 +81,43 @@ val initial_dist : t -> (int * float) list
 
 val transitions : t -> int -> (int * float) list
 (** [transitions c i] lists [(j, rate)] with merged parallel transitions
-    and no self-loops. *)
+    and no self-loops, sorted by [j]: a list view of row [i], allocated
+    per call. Solvers use {!fold_row} or {!uniformized_step}. *)
+
+val fold_row : t -> int -> ('a -> int -> float -> 'a) -> 'a -> 'a
+(** [fold_row c i f init] folds [f acc j rate] over row [i] in target
+    order, without allocating the row. *)
 
 val exit_rate : t -> int -> float
 (** Total outgoing rate of state [i]. *)
 
 val marking : t -> int -> San.Marking.t
-(** The stable marking of state [i] (a shared read-only instance per call;
-    do not mutate). *)
+(** The stable marking of state [i], restored into a fresh marking on
+    every call (the caller owns it). *)
 
 val eval : t -> (San.Marking.t -> float) -> float array
 (** [eval c f] applies a marking function to every state. *)
 
 val max_exit_rate : t -> float
 
+val uniformized_step : t -> float -> float array -> float array -> unit
+(** [uniformized_step c lambda v w] overwrites [w] with [v P], one step of
+    the chain uniformized at rate [lambda] (P = I + Q/[lambda], [lambda] at
+    least {!max_exit_rate}). [v] and [w] are caller-owned buffers of length
+    {!n_states}, and must be distinct arrays ([Invalid_argument]
+    otherwise); solvers ping-pong two buffers instead of allocating a
+    vector per step.
+
+    {b Bit-identity contract.} [w] is zeroed, then for each source [i] in
+    increasing order with [v.(i) <> 0.0] it accumulates
+    [w.(i) +. (v.(i) *. (1.0 -. (exit_rate i /. lambda)))] and then, over
+    row [i] in target order, [w.(j) +. (v.(i) *. rate /. lambda)]. Every
+    transient and steady-state figure depends on this expression and
+    order to the last bit; the tests hold the solvers to a list-based
+    reference with [Float.equal]. *)
+
 val make_absorbing : t -> (int -> bool) -> t
 (** [make_absorbing c is_absorbing] is the chain with every outgoing
     transition of the selected states removed — the standard first-passage
-    transformation (see {!Measure.ever}). *)
+    transformation (see {!Measure.ever}). The selected rows become empty
+    and their exit rates 0; every other row is copied unchanged. *)

@@ -1,18 +1,10 @@
-(* One step of the uniformized DTMC: w = v P with P = I + Q/lambda. *)
-let dtmc_step c lambda v =
-  let n = Array.length v in
-  let w = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let vi = v.(i) in
-    if vi <> 0.0 then begin
-      let out = Explore.exit_rate c i in
-      w.(i) <- w.(i) +. (vi *. (1.0 -. (out /. lambda)));
-      List.iter
-        (fun (j, r) -> w.(j) <- w.(j) +. (vi *. r /. lambda))
-        (Explore.transitions c i)
-    end
-  done;
-  w
+(* Advance [!v] one uniformized step into [!next] and swap the two
+   buffers, so [!v] holds the new vector and nothing is allocated. *)
+let step c lambda v next =
+  Explore.uniformized_step c lambda !v !next;
+  let old = !v in
+  v := !next;
+  next := old
 
 let initial_vector c =
   let v = Array.make (Explore.n_states c) 0.0 in
@@ -68,12 +60,13 @@ let probabilities ?(epsilon = 1e-12) ?obs ?profile c ~t =
     export_obs obs ~lambda ~steps:(Array.length weights);
     let n = Array.length v0 in
     let result = Array.make n 0.0 in
-    let v = ref v0 in
+    let v = ref v0 and next = ref (Array.make n 0.0) in
     Array.iteri
       (fun k w ->
-        if k > 0 then v := dtmc_step c lambda !v;
+        if k > 0 then step c lambda v next;
+        let vk = !v in
         for i = 0 to n - 1 do
-          result.(i) <- result.(i) +. (w *. !v.(i))
+          result.(i) <- result.(i) +. (w *. vk.(i))
         done)
       weights;
     result
@@ -100,14 +93,16 @@ let accumulated ?(epsilon = 1e-12) ?obs ?profile c ~t =
       survivors.(k) <- Float.max 0.0 (1.0 -. !cum)
     done;
     let result = Array.make n 0.0 in
-    let v = ref (initial_vector c) in
+    let v = ref (initial_vector c) and next = ref (Array.make n 0.0) in
     for k = 0 to kmax do
-      if k > 0 then v := dtmc_step c lambda !v;
+      if k > 0 then step c lambda v next;
       let w = survivors.(k) /. lambda in
-      if w > 0.0 then
+      if w > 0.0 then begin
+        let vk = !v in
         for i = 0 to n - 1 do
-          result.(i) <- result.(i) +. (w *. !v.(i))
+          result.(i) <- result.(i) +. (w *. vk.(i))
         done
+      end
     done;
     (* The truncated tail contributes (t - sum result) spread according to
        v_kmax; fold it in so the entries sum to t exactly. *)

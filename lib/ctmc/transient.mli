@@ -5,6 +5,11 @@
     weights computed in log space (stable for large Λt) and truncated at a
     configurable mass tolerance.
 
+    Each DTMC step is {!Explore.uniformized_step}. A solve allocates its
+    result vector and two step buffers once and swaps the buffers after
+    every step, so memory per solve is three vectors of {!Explore.n_states}
+    floats however many steps Λt requires; nothing is allocated per step.
+
     Both solvers optionally report telemetry: [obs] receives the
     uniformization rate and the truncated Poisson support size (the
     number of DTMC steps taken) in scope ["ctmc"], and [profile]

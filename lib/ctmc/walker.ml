@@ -88,22 +88,54 @@ let resolve_vanishing ?(ctx = default_ctx) ?(max_depth = 10_000)
   go m0 1.0 0;
   Hashtbl.fold (fun k p l -> (k, p) :: l) acc []
 
+(* Interning table over full keys. Polymorphic [Hashtbl.hash] reads only
+   about the first ten values of a key, so markings that differ further in
+   collapse into a handful of buckets; this hash mixes every int and every
+   float. Equality stays polymorphic [compare], so -0.0/0.0 and NaN keys
+   merge exactly as under the generic [Hashtbl]; the float hash normalizes
+   both to match. *)
+module KeyTbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal (a : t) b = compare a b = 0
+
+  let[@inline] mix h x =
+    let h = (h lxor x) * 0x100000001b3 in
+    h lxor (h lsr 29)
+
+  let[@inline] float_bits f =
+    if f = 0.0 then 0
+    else if Float.is_nan f then 0x7ff8
+    else Int64.to_int (Int64.bits_of_float f)
+
+  let hash ((ints, floats) : t) =
+    let h = ref (Array.length ints) in
+    for i = 0 to Array.length ints - 1 do
+      h := mix !h ints.(i)
+    done;
+    for i = 0 to Array.length floats - 1 do
+      h := mix !h (float_bits floats.(i))
+    done;
+    let h = (!h lxor (!h lsr 32)) * 0x2545f4914f6cdd1d in
+    (h lxor (h lsr 31)) land max_int
+end)
+
 (* Growable array of state keys. *)
 module Pool = struct
   type nonrec t = {
     mutable arr : key array;
     mutable size : int;
-    index : (key, int) Hashtbl.t;
+    index : int KeyTbl.t;
   }
 
   let dummy_key : key = ([||], [||])
 
   let create () =
-    { arr = Array.make 256 dummy_key; size = 0; index = Hashtbl.create 1024 }
+    { arr = Array.make 256 dummy_key; size = 0; index = KeyTbl.create 1024 }
 
   (* Returns (id, freshly created?). *)
   let intern p ~max_states k =
-    match Hashtbl.find_opt p.index k with
+    match KeyTbl.find_opt p.index k with
     | Some i -> (i, false)
     | None ->
         if p.size >= max_states then raise (Too_many_states max_states);
@@ -115,11 +147,12 @@ module Pool = struct
         let i = p.size in
         p.arr.(i) <- k;
         p.size <- p.size + 1;
-        Hashtbl.add p.index k i;
+        KeyTbl.add p.index k i;
         (i, true)
 
   let size p = p.size
   let get p i = p.arr.(i)
+  let stats p = KeyTbl.stats p.index
 end
 
 let reachable ?(max_states = 200_000) ?(max_work = 10_000_000)

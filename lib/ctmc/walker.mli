@@ -91,7 +91,16 @@ val resolve_vanishing :
     visited markings in one resolution — the symptom of a
     combinatorial [Pick] cascade. [m] is not modified. *)
 
-(** Growable interning pool of state keys. *)
+(** Hash table over full state keys. The hash mixes every int and every
+    float of the key (polymorphic [Hashtbl.hash] stops after about ten
+    values, which collapses markings that differ only further in); the
+    equality is polymorphic [compare a b = 0], so [-0.0]/[0.0] and NaN
+    entries merge exactly as in the generic [Hashtbl]. [stats] reports
+    the bucket spread, the interning-quality figure. *)
+module KeyTbl : Hashtbl.S with type key = key
+
+(** Growable interning pool of state keys, indexed by {!KeyTbl}. Ids are
+    assigned in first-seen order. *)
 module Pool : sig
   type t
 
@@ -102,6 +111,9 @@ module Pool : sig
 
   val size : t -> int
   val get : t -> int -> key
+
+  val stats : t -> Hashtbl.statistics
+  (** Bucket statistics of the index ({!KeyTbl.stats}). *)
 end
 
 val reachable :

@@ -821,6 +821,305 @@ let test_symmetry_detect_rejects_asymmetry () =
   Alcotest.(check int) "no exchangeable groups" 0
     (List.length (Analysis.Symmetry.detect model (Compose.info root)))
 
+(* --- one solver kernel: bit-identity against the list-based solvers --- *)
+
+(* The solvers as they were written against [(int * float) list] rows,
+   kept verbatim as the reference: a fresh vector per uniformized step,
+   Gauss-Seidel through [List.iter], power iteration with its own step. *)
+module Reference = struct
+  let dtmc_step c lambda v =
+    let n = Array.length v in
+    let w = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      let vi = v.(i) in
+      if vi <> 0.0 then begin
+        let out = Ctmc.Explore.exit_rate c i in
+        w.(i) <- w.(i) +. (vi *. (1.0 -. (out /. lambda)));
+        List.iter
+          (fun (j, r) -> w.(j) <- w.(j) +. (vi *. r /. lambda))
+          (Ctmc.Explore.transitions c i)
+      end
+    done;
+    w
+
+  let initial_vector c =
+    let v = Array.make (Ctmc.Explore.n_states c) 0.0 in
+    List.iter (fun (i, p) -> v.(i) <- v.(i) +. p) (Ctmc.Explore.initial_dist c);
+    v
+
+  let poisson_weights ~mu ~epsilon =
+    if mu = 0.0 then [| 1.0 |]
+    else begin
+      let log_w k =
+        (-.mu) +. (float_of_int k *. log mu)
+        -. Stats.Specfun.log_gamma (float_of_int k +. 1.0)
+      in
+      let rec find_kmax k acc =
+        let w = exp (log_w k) in
+        let acc = acc +. w in
+        if acc >= 1.0 -. epsilon then k else find_kmax (k + 1) acc
+      in
+      let kmax = find_kmax 0 0.0 in
+      Array.init (kmax + 1) (fun k -> exp (log_w k))
+    end
+
+  let probabilities ?(epsilon = 1e-12) c ~t =
+    let v0 = initial_vector c in
+    if t = 0.0 then v0
+    else begin
+      let lambda = Float.max (Ctmc.Explore.max_exit_rate c) 1e-9 *. 1.02 in
+      let weights = poisson_weights ~mu:(lambda *. t) ~epsilon in
+      let n = Array.length v0 in
+      let result = Array.make n 0.0 in
+      let v = ref v0 in
+      Array.iteri
+        (fun k w ->
+          if k > 0 then v := dtmc_step c lambda !v;
+          for i = 0 to n - 1 do
+            result.(i) <- result.(i) +. (w *. !v.(i))
+          done)
+        weights;
+      result
+    end
+
+  let accumulated ?(epsilon = 1e-12) c ~t =
+    let n = Ctmc.Explore.n_states c in
+    if t = 0.0 then Array.make n 0.0
+    else begin
+      let lambda = Float.max (Ctmc.Explore.max_exit_rate c) 1e-9 *. 1.02 in
+      let weights = poisson_weights ~mu:(lambda *. t) ~epsilon in
+      let kmax = Array.length weights - 1 in
+      let survivors = Array.make (kmax + 1) 0.0 in
+      let total = Array.fold_left ( +. ) 0.0 weights in
+      let cum = ref 0.0 in
+      for k = 0 to kmax do
+        cum := !cum +. (weights.(k) /. total);
+        survivors.(k) <- Float.max 0.0 (1.0 -. !cum)
+      done;
+      let result = Array.make n 0.0 in
+      let v = ref (initial_vector c) in
+      for k = 0 to kmax do
+        if k > 0 then v := dtmc_step c lambda !v;
+        let w = survivors.(k) /. lambda in
+        if w > 0.0 then
+          for i = 0 to n - 1 do
+            result.(i) <- result.(i) +. (w *. !v.(i))
+          done
+      done;
+      let mass = Array.fold_left ( +. ) 0.0 result in
+      let deficit = t -. mass in
+      if deficit > 0.0 then begin
+        let vk = !v in
+        for i = 0 to n - 1 do
+          result.(i) <- result.(i) +. (deficit *. vk.(i))
+        done
+      end;
+      result
+    end
+
+  let steady ?(tol = 1e-12) ?(max_iter = 1_000_000) c =
+    let lambda = Float.max (Ctmc.Explore.max_exit_rate c) 1e-9 *. 1.05 in
+    let v = ref (initial_vector c) in
+    let delta = ref infinity and iter = ref 0 in
+    while !delta > tol && !iter < max_iter do
+      incr iter;
+      let w = dtmc_step c lambda !v in
+      let d = ref 0.0 in
+      Array.iteri (fun i wi -> d := !d +. Float.abs (wi -. !v.(i))) w;
+      delta := !d;
+      v := w
+    done;
+    !v
+
+  let mtta ?(tol = 1e-12) ?(max_iter = 1_000_000) c =
+    let n = Ctmc.Explore.n_states c in
+    let e i = Ctmc.Explore.exit_rate c i in
+    let x = Array.make n 0.0 in
+    let delta = ref infinity and sweeps = ref 0 in
+    while !delta > tol && !sweeps < max_iter do
+      incr sweeps;
+      let d = ref 0.0 in
+      for i = 0 to n - 1 do
+        if e i > 0.0 then begin
+          let acc = ref (1.0 /. e i) in
+          List.iter
+            (fun (j, r) -> acc := !acc +. (r /. e i *. x.(j)))
+            (Ctmc.Explore.transitions c i);
+          let prev = x.(i) in
+          x.(i) <- !acc;
+          d := Float.max !d (Float.abs (x.(i) -. prev))
+        end
+      done;
+      delta := !d
+    done;
+    List.fold_left
+      (fun acc (i, p) -> acc +. (p *. x.(i)))
+      0.0 (Ctmc.Explore.initial_dist c)
+end
+
+let itua_1111 () =
+  (Itua.Model.build
+     {
+       Itua.Params.default with
+       Itua.Params.num_domains = 1;
+       hosts_per_domain = 1;
+       num_apps = 1;
+       num_reps = 1;
+     })
+    .Itua.Model.model
+
+(* Every fixture chain, plus ITUA at 1 domain x 1 host x 1 app x 1
+   replica (457 states). *)
+let kernel_fixtures () =
+  [
+    ( "two-state",
+      (Test_models.two_state ~lambda:1.0 ~mu:4.0).Test_models.ts_model );
+    ("mm1k", (Test_models.mm1k ~lambda:2.0 ~mu:3.0 ~k:5).Test_models.q_model);
+    ("tandem", (Test_models.tandem ~r1:2.0 ~r2:5.0).Test_models.td_model);
+    ("gong", (Test_models.gong ()).Test_models.g_model);
+    ("branching", fst (branching_model ()));
+    ("itua 1x1x1x1", itua_1111 ());
+  ]
+  |> List.map (fun (name, m) -> (name, Ctmc.Explore.explore m))
+
+let check_bits name expected actual =
+  Alcotest.(check int) (name ^ ": length") (Array.length expected)
+    (Array.length actual);
+  Array.iteri
+    (fun i e ->
+      if not (Float.equal e actual.(i)) then
+        Alcotest.failf "%s: entry %d is %h, reference %h" name i actual.(i) e)
+    expected
+
+let test_kernel_bit_identical () =
+  List.iter
+    (fun (name, c) ->
+      List.iter
+        (fun t ->
+          let tag what = Printf.sprintf "%s %s t=%g" name what t in
+          check_bits (tag "probabilities")
+            (Reference.probabilities c ~t)
+            (Ctmc.Transient.probabilities c ~t);
+          check_bits (tag "accumulated")
+            (Reference.accumulated c ~t)
+            (Ctmc.Transient.accumulated c ~t))
+        [ 0.0; 0.7; 5.0; 24.0 ];
+      check_bits (name ^ " steady") (Reference.steady c)
+        (Ctmc.Steady.distribution c);
+      (* Every fixture gets an absorbing state, so the first-step solve
+         converges on the irreducible ones too. *)
+      let last = Ctmc.Explore.n_states c - 1 in
+      let a = Ctmc.Explore.make_absorbing c (fun i -> i = last) in
+      let expected = Reference.mtta a
+      and got = Ctmc.Absorb.mean_time_to_absorption a in
+      if not (Float.equal expected got) then
+        Alcotest.failf "%s MTTA: %h, reference %h" name got expected)
+    (kernel_fixtures ())
+
+let test_make_absorbing_rows () =
+  let c = Ctmc.Explore.explore (itua_1111 ()) in
+  let selected i = i mod 3 = 1 in
+  let a = Ctmc.Explore.make_absorbing c selected in
+  Alcotest.(check int) "same states" (Ctmc.Explore.n_states c)
+    (Ctmc.Explore.n_states a);
+  for i = 0 to Ctmc.Explore.n_states c - 1 do
+    let row = Ctmc.Explore.transitions a i in
+    if selected i then begin
+      if row <> [] || Ctmc.Explore.exit_rate a i <> 0.0 then
+        Alcotest.failf "state %d: selected row not emptied" i
+    end
+    else begin
+      let orig = Ctmc.Explore.transitions c i in
+      if
+        List.length row <> List.length orig
+        || not
+             (List.for_all2
+                (fun (j, r) (j', r') -> j = j' && Float.equal r r')
+                row orig)
+        || not
+             (Float.equal (Ctmc.Explore.exit_rate a i)
+                (Ctmc.Explore.exit_rate c i))
+      then Alcotest.failf "state %d: unselected row changed" i
+    end
+  done;
+  Alcotest.(check bool) "some selected row had transitions" true
+    (List.exists
+       (fun i -> selected i && Ctmc.Explore.transitions c i <> [])
+       (List.init (Ctmc.Explore.n_states c) Fun.id))
+
+let test_csr_rows_sorted () =
+  List.iter
+    (fun (name, c) ->
+      for i = 0 to Ctmc.Explore.n_states c - 1 do
+        let row = Ctmc.Explore.transitions c i in
+        let targets = List.map fst row in
+        if targets <> List.sort_uniq Int.compare targets || List.mem i targets
+        then Alcotest.failf "%s: row %d not sorted, unique, loop-free" name i;
+        let folded =
+          Ctmc.Explore.fold_row c i (fun acc j r -> (j, r) :: acc) []
+        in
+        if List.rev folded <> row then
+          Alcotest.failf "%s: fold_row disagrees with row %d" name i;
+        let sum = List.fold_left (fun acc (_, r) -> acc +. r) 0.0 row in
+        if not (Float.equal sum (Ctmc.Explore.exit_rate c i)) then
+          Alcotest.failf "%s: exit rate of %d is not its row sum" name i
+      done)
+    (kernel_fixtures ())
+
+let test_uniformized_step_buffers () =
+  let c =
+    Ctmc.Explore.explore
+      (Test_models.tandem ~r1:2.0 ~r2:5.0).Test_models.td_model
+  in
+  let v = Array.make 3 0.0 in
+  Alcotest.check_raises "aliased buffers"
+    (Invalid_argument "Ctmc.Explore.uniformized_step: buffers") (fun () ->
+      Ctmc.Explore.uniformized_step c 6.0 v v);
+  Alcotest.check_raises "short buffer"
+    (Invalid_argument "Ctmc.Explore.uniformized_step: buffers") (fun () ->
+      Ctmc.Explore.uniformized_step c 6.0 v (Array.make 2 0.0))
+
+(* Keys that agree on their first 21 ints: the polymorphic hash reads only
+   about ten values, so it would put all of them in one bucket. *)
+let test_key_table_spread () =
+  let pool = Ctmc.Walker.Pool.create () in
+  for k = 0 to 9_999 do
+    let ints = Array.make 40 0 in
+    ints.(21) <- k mod 100;
+    ints.(30) <- k / 100;
+    let id, fresh =
+      Ctmc.Walker.Pool.intern pool ~max_states:20_000 (ints, [| 0.5 |])
+    in
+    if id <> k || not fresh then Alcotest.failf "key %d interned as %d" k id
+  done;
+  let stats = Ctmc.Walker.Pool.stats pool in
+  Alcotest.(check int) "entries" 10_000 stats.Hashtbl.num_bindings;
+  if stats.Hashtbl.max_bucket_length > 8 then
+    Alcotest.failf "max bucket %d > 8" stats.Hashtbl.max_bucket_length
+
+(* Equality is polymorphic [compare], so keys equal under it must share
+   a bucket: -0.0 with 0.0, and any NaN with any NaN. *)
+let test_key_table_float_equality () =
+  let tbl = Ctmc.Walker.KeyTbl.create 16 in
+  Ctmc.Walker.KeyTbl.replace tbl ([| 1 |], [| 0.0; Float.nan |]) "a";
+  Alcotest.(check (option string)) "-0.0 and other NaN bits merge" (Some "a")
+    (Ctmc.Walker.KeyTbl.find_opt tbl
+       ([| 1 |], [| -0.0; Int64.float_of_bits 0x7ff0000000000001L |]));
+  Alcotest.(check (option string)) "different int" None
+    (Ctmc.Walker.KeyTbl.find_opt tbl ([| 2 |], [| 0.0; Float.nan |]))
+
+let test_intern_gauge () =
+  let reg = Obs.Registry.create () in
+  let c = Ctmc.Explore.explore ~obs:reg (itua_1111 ()) in
+  let s = Obs.Registry.scope reg "ctmc" in
+  Alcotest.(check int) "explore_states" (Ctmc.Explore.n_states c)
+    (Obs.Registry.counter_value (Obs.Registry.counter s "explore_states"));
+  let bucket =
+    Obs.Registry.gauge_value (Obs.Registry.gauge s "intern_max_bucket")
+  in
+  if not (bucket >= 1.0 && bucket <= 8.0) then
+    Alcotest.failf "intern_max_bucket %g outside [1, 8]" bucket
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest [ prop_random_queue_sim_matches_ctmc ]
@@ -875,6 +1174,23 @@ let () =
             test_accumulated_sums_to_t;
           Alcotest.test_case "windowed interval average" `Quick
             test_interval_average_window;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "solvers bit-identical to list reference" `Quick
+            test_kernel_bit_identical;
+          Alcotest.test_case "make_absorbing empties selected rows" `Quick
+            test_make_absorbing_rows;
+          Alcotest.test_case "CSR rows sorted, merged, loop-free" `Quick
+            test_csr_rows_sorted;
+          Alcotest.test_case "uniformized_step buffer checks" `Quick
+            test_uniformized_step_buffers;
+          Alcotest.test_case "full-key hash spreads late differences" `Quick
+            test_key_table_spread;
+          Alcotest.test_case "key table float equality" `Quick
+            test_key_table_float_equality;
+          Alcotest.test_case "intern_max_bucket gauge" `Quick
+            test_intern_gauge;
         ] );
       ( "steady",
         [
