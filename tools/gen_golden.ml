@@ -2,17 +2,39 @@
 
      test/golden/<fixture>.model.json   (test-support fixtures)
      examples/itua.model.json           (small ITUA configuration)
+     test/golden/itua_<topology>.check.json
+                                        (check --strict --invariants --json
+                                         certificates: 1x1x1x1 exhaustive,
+                                         2x2x2x2 sampled)
 
    Run from the repository root after an intentional format change:
 
      dune exec tools/gen_golden.exe
 
-   The fixture parameters and the ITUA topology must stay in sync with
-   test/test_serial.ml and the CI golden gate. *)
+   The fixture parameters and the ITUA topologies must stay in sync with
+   test/test_serial.ml, test/test_analysis.ml and the CI golden gate. *)
 
 let write path doc =
   Serial.save path doc;
   Printf.printf "wrote %s\n" path
+
+let itua ~d ~h ~a ~r =
+  {
+    Itua.Params.default with
+    num_domains = d;
+    hosts_per_domain = h;
+    num_apps = a;
+    num_reps = r;
+  }
+
+(* The document [itua_sim check --strict --invariants --json] writes
+   for this configuration (no --symmetry, no --ir-dump). *)
+let check_json p =
+  let h = Itua.Model.build p in
+  Analysis.Check.to_json
+    (Analysis.Check.run ~composition:h.Itua.Model.composition
+       ~laws:(Itua.Invariant.conservation_laws h)
+       h.Itua.Model.model)
 
 let () =
   List.iter
@@ -27,18 +49,19 @@ let () =
       ("tandem", (Test_models.tandem ~r1:1.0 ~r2:0.5).Test_models.td_model);
       ("gong", (Test_models.gong ()).Test_models.g_model);
     ];
-  let p =
-    {
-      Itua.Params.default with
-      num_domains = 2;
-      hosts_per_domain = 2;
-      num_apps = 2;
-      num_reps = 2;
-    }
-  in
+  let p = itua ~d:2 ~h:2 ~a:2 ~r:2 in
   let h = Itua.Model.build p in
   write "examples/itua.model.json"
     (Serial.to_json
        ~composition:h.Itua.Model.composition
        ~annotations:[ ("params", Itua.Params.to_json p) ]
-       h.Itua.Model.model)
+       h.Itua.Model.model);
+  List.iter
+    (fun (name, p) ->
+      let path = Filename.concat "test/golden" (name ^ ".check.json") in
+      Report.write_jsonl path [ check_json p ];
+      Printf.printf "wrote %s\n" path)
+    [
+      ("itua_1x1x1x1", itua ~d:1 ~h:1 ~a:1 ~r:1);
+      ("itua_2x2x2x2", itua ~d:2 ~h:2 ~a:2 ~r:2);
+    ]
