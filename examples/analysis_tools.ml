@@ -15,18 +15,17 @@ let build () =
      state space finite: no unbounded counters (the CTMC path explores
      every reachable marking). *)
   let state = San.Model.Builder.int_place b "state" in
-  San.Model.Builder.timed_exp b ~name:"compromise"
-    ~rate:(fun _ -> 0.5)
-    ~enabled:(fun m -> San.Marking.get m state = 0)
+  let open San.Effect in
+  San.Model.Builder.timed_exp b ~name:"compromise" ~rate:(RConst 0.5)
+    ~guard:(Cmp (Mark state, Eq, Int 0))
     ~reads:[ San.Place.P state ]
-    (fun _ m -> San.Marking.set m state 1);
-  San.Model.Builder.timed_exp_cases b ~name:"respond"
-    ~rate:(fun _ -> 2.0)
-    ~enabled:(fun m -> San.Marking.get m state = 1)
+    (Ops [ Set (state, Int 1) ]);
+  San.Model.Builder.timed_exp_cases b ~name:"respond" ~rate:(RConst 2.0)
+    ~guard:(Cmp (Mark state, Eq, Int 1))
     ~reads:[ San.Place.P state ]
     [
-      (0.92, fun _ m -> San.Marking.set m state 0);
-      (0.08, fun _ m -> San.Marking.set m state 2);
+      (0.92, Ops [ Set (state, Int 0) ]);
+      (0.08, Ops [ Set (state, Int 2) ]);
     ];
   (San.Model.Builder.build b, state)
 
@@ -62,15 +61,14 @@ let () =
   let b = San.Model.Builder.create "repair_only" in
   let st = San.Model.Builder.int_place b "state" in
   San.Model.Builder.timed_exp b ~name:"compromise"
-    ~rate:(fun _ -> 0.5)
-    ~enabled:(fun m -> San.Marking.get m st = 0)
+    ~rate:(San.Effect.RConst 0.5)
+    ~guard:San.Effect.(Cmp (Mark st, Eq, Int 0))
     ~reads:[ San.Place.P st ]
-    (fun _ m -> San.Marking.set m st 1);
-  San.Model.Builder.timed_exp b ~name:"respond"
-    ~rate:(fun _ -> 2.0)
-    ~enabled:(fun m -> San.Marking.get m st = 1)
+    San.Effect.(Ops [ Set (st, Int 1) ]);
+  San.Model.Builder.timed_exp b ~name:"respond" ~rate:(San.Effect.RConst 2.0)
+    ~guard:San.Effect.(Cmp (Mark st, Eq, Int 1))
     ~reads:[ San.Place.P st ]
-    (fun _ m -> San.Marking.set m st 0);
+    San.Effect.(Ops [ Set (st, Int 0) ]);
   let repairable = San.Model.Builder.build b in
   let result =
     Sim.Steady.estimate ~model:repairable

@@ -16,17 +16,17 @@ let _modeling_pair () =
   let b = San.Model.Builder.create "pair" in
   let working = San.Model.Builder.int_place b ~init:2 "working" in
   San.Model.Builder.timed_exp b ~name:"fail"
-    ~rate:(fun m -> 0.1 *. float_of_int (San.Marking.get m working))
-    ~enabled:(fun m -> San.Marking.get m working > 0)
+    ~rate:San.Effect.(RExpr (FMul (Flt 0.1, OfInt (Mark working))))
+    ~guard:San.Effect.(Cmp (Mark working, Gt, Int 0))
     ~reads:[ San.Place.P working ]
-    (fun _ctx m -> San.Marking.add m working (-1));
-  let enabled m = San.Marking.get m working > 0 in
+    San.Effect.(Ops [ Inc (working, Int (-1)) ]);
+  let guard = San.Effect.(Cmp (Mark working, Gt, Int 0)) in
   let reads = [ San.Place.P working ] in
-  let convict m = San.Marking.add m working (-1) in
-  let miss _m = () in
+  let convict = San.Effect.(Ops [ Inc (working, Int (-1)) ]) in
+  let miss = San.Effect.Skip in
   San.Model.Builder.timed_exp_cases b ~name:"detect"
-    ~rate:(fun _ -> 4.0) ~enabled ~reads
-    [ (0.8, fun _ m -> convict m); (0.2, fun _ m -> miss m) ];
+    ~rate:(San.Effect.RConst 4.0) ~guard ~reads
+    [ (0.8, convict); (0.2, miss) ];
   let model = San.Model.Builder.build b in
   let rewards =
     let up m = San.Marking.get m working > 0 in
@@ -215,30 +215,6 @@ let _analysis_guard ~config ~stream ~observer () =
   in
   ()
 
-let _analysis_ir_migration b =
-  let working = San.Model.Builder.int_place b ~init:2 "working" in
-  (* before: opaque closure — analysis can only observe it *)
-  San.Model.Builder.timed_exp b ~name:"fail"
-    ~rate:(fun _ -> 0.1)
-    ~enabled:(fun m -> San.Marking.get m working > 0)
-    ~reads:[ San.Place.P working ]
-    (fun _ctx m -> San.Marking.add m working (-1));
-  (* after: declarative IR — guard and delta read off the syntax tree *)
-  San.Model.Builder.timed_exp_ir b ~name:"fail"
-    ~rate:(fun _ -> 0.1)
-    ~guard:San.Effect.(Cmp (Mark working, Gt, Int 0))
-    ~reads:[ San.Place.P working ]
-    San.Effect.(Ops [ Inc (working, Int (-1)) ])
-
-let _analysis_ir_checked working =
-  San.Effect.Checked
-    {
-      ir = San.Effect.(Ops [ Inc (working, Int (-1)) ]);
-      reference =
-        { oname = "fail/legacy";
-          run = (fun _ctx m -> San.Marking.add m working (-1)) };
-    }
-
 (* --- doc/FORMAT.md --- *)
 
 let _format_save ~params () =
@@ -261,12 +237,12 @@ let _format_load () =
 let _format_mini () =
   let b = San.Model.Builder.create "two_state" in
   let up = San.Model.Builder.int_place b ~init:1 "up" in
-  San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
+  San.Model.Builder.timed_exp b ~name:"fail"
     ~rate:(San.Effect.RConst 0.2)
     ~guard:San.Effect.(Cmp (Mark up, Eq, Int 1))
     ~reads:[ San.Place.P up ]
     San.Effect.(Ops [ Set (up, Int 0) ]);
-  San.Model.Builder.timed_exp_rate_ir b ~name:"repair"
+  San.Model.Builder.timed_exp b ~name:"repair"
     ~rate:(San.Effect.RConst 1.0)
     ~guard:San.Effect.(Cmp (Mark up, Eq, Int 0))
     ~reads:[ San.Place.P up ]

@@ -13,20 +13,18 @@ let build () =
   let customers = San.Model.Builder.int_place b "customers" in
   let served = San.Model.Builder.int_place b "served" in
   let blocked = San.Model.Builder.int_place b "blocked" in
-  San.Model.Builder.timed_exp b ~name:"arrive"
-    ~rate:(fun _ -> lambda)
-    ~enabled:(fun _ -> true)
+  let open San.Effect in
+  San.Model.Builder.timed_exp b ~name:"arrive" ~rate:(RConst lambda)
+    ~guard:(Const true)
     ~reads:[ San.Place.P customers ]
-    (fun _ m ->
-      if San.Marking.get m customers < k then San.Marking.add m customers 1
-      else San.Marking.add m blocked 1);
-  San.Model.Builder.timed_exp b ~name:"serve"
-    ~rate:(fun _ -> mu)
-    ~enabled:(fun m -> San.Marking.get m customers > 0)
+    (If
+       ( Cmp (Mark customers, Lt, Int k),
+         Ops [ Inc (customers, Int 1) ],
+         Ops [ Inc (blocked, Int 1) ] ));
+  San.Model.Builder.timed_exp b ~name:"serve" ~rate:(RConst mu)
+    ~guard:(Cmp (Mark customers, Gt, Int 0))
     ~reads:[ San.Place.P customers ]
-    (fun _ m ->
-      San.Marking.add m customers (-1);
-      San.Marking.add m served 1);
+    (Ops [ Inc (customers, Int (-1)); Inc (served, Int 1) ]);
   (San.Model.Builder.build b, customers, served, blocked)
 
 let () =
@@ -76,15 +74,14 @@ let () =
   let b = San.Model.Builder.create "mm1k_core" in
   let c2 = San.Model.Builder.int_place b "customers" in
   San.Model.Builder.timed_exp b ~name:"arrive"
-    ~rate:(fun _ -> lambda)
-    ~enabled:(fun m -> San.Marking.get m c2 < k)
+    ~rate:(San.Effect.RConst lambda)
+    ~guard:San.Effect.(Cmp (Mark c2, Lt, Int k))
     ~reads:[ San.Place.P c2 ]
-    (fun _ m -> San.Marking.add m c2 1);
-  San.Model.Builder.timed_exp b ~name:"serve"
-    ~rate:(fun _ -> mu)
-    ~enabled:(fun m -> San.Marking.get m c2 > 0)
+    San.Effect.(Ops [ Inc (c2, Int 1) ]);
+  San.Model.Builder.timed_exp b ~name:"serve" ~rate:(San.Effect.RConst mu)
+    ~guard:San.Effect.(Cmp (Mark c2, Gt, Int 0))
     ~reads:[ San.Place.P c2 ]
-    (fun _ m -> San.Marking.add m c2 (-1));
+    San.Effect.(Ops [ Inc (c2, Int (-1)) ]);
   let core = San.Model.Builder.build b in
   let chain = Ctmc.Explore.explore core in
   let exact_at_1 =

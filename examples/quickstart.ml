@@ -12,16 +12,17 @@ let () =
   (* 1. Build the SAN: one int place, two timed activities. *)
   let b = San.Model.Builder.create "repairable_pair" in
   let working = San.Model.Builder.int_place b ~init:2 "working" in
+  (* Guards, rates and effects are declarative San.Effect terms. *)
+  let open San.Effect in
   San.Model.Builder.timed_exp b ~name:"fail"
-    ~rate:(fun m -> 0.1 *. float_of_int (San.Marking.get m working))
-    ~enabled:(fun m -> San.Marking.get m working > 0)
+    ~rate:(RExpr (FMul (Flt 0.1, OfInt (Mark working))))
+    ~guard:(Cmp (Mark working, Gt, Int 0))
     ~reads:[ San.Place.P working ]
-    (fun _ m -> San.Marking.add m working (-1));
-  San.Model.Builder.timed_exp b ~name:"repair"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> San.Marking.get m working < 2)
+    (Ops [ Inc (working, Int (-1)) ]);
+  San.Model.Builder.timed_exp b ~name:"repair" ~rate:(RConst 1.0)
+    ~guard:(Cmp (Mark working, Lt, Int 2))
     ~reads:[ San.Place.P working ]
-    (fun _ m -> San.Marking.add m working 1);
+    (Ops [ Inc (working, Int 1) ]);
   let model = San.Model.Builder.build b in
   Format.printf "%a@.@." San.Model.pp_summary model;
 

@@ -7,10 +7,9 @@ type t = {
   fallback : string option;
   diagnostics : Diagnostic.t list;
   structure : Structure.t;
-  incidence : string;  (** ["exact"] or ["observed"] *)
   sampled_fallbacks : string list;
-      (** {!Structure.sampled_fallbacks}: empty iff the incidence and
-          every law verdict are exact *)
+      (** {!Structure.sampled_fallbacks}: empty iff every law verdict is
+          exact *)
 }
 
 let run ?composition ?laws ?max_states ?runs ?horizon ?max_markings ?seed
@@ -33,10 +32,6 @@ let run ?composition ?laws ?max_states ?runs ?horizon ?max_markings ?seed
     fallback = space.Space.fallback;
     diagnostics;
     structure;
-    incidence =
-      (match structure.Structure.incidence with
-      | Structure.Exact -> "exact"
-      | Structure.Observed -> "observed");
     sampled_fallbacks = Structure.sampled_fallbacks structure;
   }
 
@@ -64,8 +59,7 @@ let pp ppf t =
         Printf.sprintf "sampled, %d distinct markings%s" t.n_stable
           (if t.truncated then ", truncated" else "")
   in
-  Format.fprintf ppf "model %S: %s; incidence %s@." t.model_name coverage
-    t.incidence;
+  Format.fprintf ppf "model %S: %s; incidence exact@." t.model_name coverage;
   (match t.fallback with
   | Some why -> Format.fprintf ppf "  (exhaustive walk unavailable: %s)@." why
   | None -> ());
@@ -95,7 +89,9 @@ let to_json t =
       ("stable_markings", int t.n_stable);
       ("vanishing_markings", int t.n_vanishing);
       ("truncated", Bool t.truncated);
-      ("incidence", Str t.incidence);
+      (* Incidence is always read off the IR; the key stays so
+         certificates are byte-stable. *)
+      ("incidence", Str "exact");
       ( "sampled_fallbacks",
         Arr (List.map (fun s -> Str s) t.sampled_fallbacks) );
       ( "fallback",

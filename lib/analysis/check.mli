@@ -21,12 +21,9 @@ type t = {
       (** the structural certificate (incidence modes, semiflows,
           declared-law verdicts, bounds) — always computed; the CLI
           prints it only under [--invariants] *)
-  incidence : string;
-      (** ["exact"] (delta rows read symbolically off the effect IR) or
-          ["observed"] (closure effects fired on sampled markings) *)
   sampled_fallbacks : string list;
       (** {!Structure.sampled_fallbacks} — the exactness gate: empty
-          iff the incidence and every declared-law verdict are exact *)
+          iff every declared-law verdict is exact *)
 }
 
 val run :

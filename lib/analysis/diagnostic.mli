@@ -1,6 +1,6 @@
 (** Diagnostics emitted by the model checker.
 
-    Every finding carries a stable code (["A001-undeclared-read"], ...),
+    Every finding carries a stable code (["A003-negative-write"], ...),
     a severity, a source (the model element it is about), and a
     human-readable message. Codes are stable across releases so CI
     configurations and suppression lists can match on them; message
@@ -42,7 +42,7 @@ val compare : t -> t -> int
     report order. *)
 
 val pp : Format.formatter -> t -> unit
-(** One line: [[error] A001-undeclared-read activity "x": ...]. *)
+(** One line: [[error] A003-negative-write activity "x": ...]. *)
 
 val to_json : t -> Report.Json.t
 (** Object with [code], [severity], [source_kind], [source], [message]. *)
@@ -50,10 +50,9 @@ val to_json : t -> Report.Json.t
 (** {2 Codes}
 
     One constant per diagnostic code, so passes and tests never spell
-    the strings twice. *)
+    the strings twice. A001, A002 and A016 are retired: their numbers are
+    never reused (see doc/ANALYSIS.md). *)
 
-val undeclared_read : string
-val undeclared_write : string
 val negative_write : string
 val dead_activity : string
 val never_written_place : string
@@ -67,7 +66,6 @@ val invariant_violated : string
 val ir_mismatch : string
 val dead_branch : string
 val negative_capable : string
-val ir_divergence : string
 val orbit_report : string
 val broken_symmetry : string
 val unsound_canon : string

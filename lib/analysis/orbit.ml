@@ -22,13 +22,9 @@ type family = {
 
 type report = {
   families : family list;
-  pure : bool;
-  blockers : string list;
   n_int : int;
   n_float : int;
 }
-
-exception Unverifiable of string
 
 let truncate n s = if String.length s <= n then s else String.sub s 0 n ^ "..."
 
@@ -41,34 +37,6 @@ let strip_prefix prefix s =
   if String.length s > pl && String.sub s 0 pl = prefix then
     String.sub s pl (String.length s - pl)
   else s
-
-(* ------------------------------------------------------------------ *)
-(* Declarative-readability scan: the verification below can only reason
-   about what it can read. One closure anywhere and every certificate
-   would be a guess, so the whole model must be pure IR. *)
-
-let blockers_of model =
-  let out = ref [] in
-  let add name what = out := Printf.sprintf "activity %S: %s" name what :: !out in
-  Array.iter
-    (fun (a : A.t) ->
-      (match a.A.timing with
-      | A.Instantaneous -> ()
-      | A.Timed { dist_ir = None; _ } ->
-          add a.A.name "closure-only timing distribution"
-      | A.Timed { dist_ir = Some _; _ } -> ());
-      (match a.A.guard with
-      | None -> add a.A.name "closure-only enabling predicate"
-      | Some _ -> ());
-      Array.iter
-        (fun (c : A.case) ->
-          (match c.A.weight_ir with
-          | None -> add a.A.name "closure-only case weight"
-          | Some _ -> ());
-          if not (E.is_pure c.A.effect) then add a.A.name "opaque effect closure")
-        a.A.cases)
-    (San.Model.activities model);
-  List.sort_uniq Stdlib.compare !out
 
 (* ------------------------------------------------------------------ *)
 (* Per-copy parameter signature: every Ctx.note binding in the copy's
@@ -151,8 +119,6 @@ let rec r_eff sub (t : E.t) : E.t =
   | E.Seq ts -> E.Seq (List.map (r_eff sub) ts)
   | E.If (c, a, b) -> E.If (r_cond sub c, r_eff sub a, r_eff sub b)
   | E.Pick bs -> E.Pick (List.map (fun (c, t) -> (r_cond sub c, r_eff sub t)) bs)
-  | E.Checked { ir; _ } -> r_eff sub ir
-  | E.Opaque o -> raise (Unverifiable ("opaque effect " ^ o.E.oname))
 
 (* ------------------------------------------------------------------ *)
 (* Normalization: canonicalize commutative structure so that two terms
@@ -236,8 +202,7 @@ let n_op (op : E.op) : E.op =
 let independent_ops ops =
   let rw op =
     let t = E.Ops [ op ] in
-    ( Option.value (E.static_reads t) ~default:[],
-      Option.value (E.static_writes t) ~default:[] )
+    (E.static_reads t, E.static_writes t)
   in
   let rws = List.mapi (fun i op -> (i, rw op)) ops in
   let disjoint a b = List.for_all (fun x -> not (List.mem x b)) a in
@@ -268,8 +233,6 @@ let rec n_eff (t : E.t) : E.t =
       E.Pick
         (List.map (fun (c, t) -> (n_cond c, n_eff t)) bs
         |> List.sort Stdlib.compare)
-  | E.Checked { ir; _ } -> n_eff ir
-  | E.Opaque o -> raise (Unverifiable ("opaque effect " ^ o.E.oname))
 
 (* ------------------------------------------------------------------ *)
 (* Shapes: an activity's renamed-and-normalized content rendered to
@@ -301,19 +264,13 @@ let shape_of sub (a : A.t) : (string * string) list =
   let timing, dist =
     match a.A.timing with
     | A.Instantaneous -> ("instantaneous", "-")
-    | A.Timed { policy; dist_ir = Some d; _ } ->
+    | A.Timed { policy; dist } ->
         ( (match policy with
           | A.Keep -> "timed/keep"
           | A.Resample -> "timed/resample"),
-          str_dist sub d )
-    | A.Timed { dist_ir = None; _ } ->
-        raise (Unverifiable ("closure-only timing of " ^ a.A.name))
+          str_dist sub dist )
   in
-  let guard =
-    match a.A.guard with
-    | Some g -> render E.pp_cond (n_cond (r_cond sub g))
-    | None -> raise (Unverifiable ("closure-only guard of " ^ a.A.name))
-  in
+  let guard = render E.pp_cond (n_cond (r_cond sub a.A.guard)) in
   let reads =
     List.map
       (function
@@ -326,12 +283,7 @@ let shape_of sub (a : A.t) : (string * string) list =
   let cases =
     Array.to_list a.A.cases
     |> List.map (fun (c : A.case) ->
-           let w =
-             match c.A.weight_ir with
-             | Some w -> render E.pp_rexpr (n_re (r_re sub w))
-             | None ->
-                 raise (Unverifiable ("closure-only case weight of " ^ a.A.name))
-           in
+           let w = render E.pp_rexpr (n_re (r_re sub c.A.weight)) in
            "w=" ^ w ^ "; eff=" ^ render E.pp (n_eff (r_eff sub c.A.effect)))
     |> List.sort Stdlib.compare
     |> String.concat " | "
@@ -396,9 +348,7 @@ let verify model id_shapes sub ~rpath ~cpath =
             end)
       (San.Model.activities model);
     Ok ()
-  with
-  | Break r -> Error r
-  | Unverifiable r -> Error r
+  with Break r -> Error r
 
 (* ------------------------------------------------------------------ *)
 
@@ -455,8 +405,6 @@ let params_diff_reason pa pb la lb =
   | None -> Printf.sprintf "copy %s vs %s: parameters differ" pa pb
 
 let analyse model (root : Compose.info) =
-  let blockers = blockers_of model in
-  let pure = blockers = [] in
   let ints = San.Model.places model in
   let floats = San.Model.float_places model in
   let int_by_index = Hashtbl.create 64 in
@@ -464,10 +412,9 @@ let analyse model (root : Compose.info) =
   Array.iter (fun p -> Hashtbl.replace int_by_index (P.index p) p) ints;
   Array.iter (fun p -> Hashtbl.replace float_by_index (P.findex p) p) floats;
   let id_shapes = Hashtbl.create 64 in
-  if pure then
-    Array.iter
-      (fun (a : A.t) -> Hashtbl.replace id_shapes a.A.name (shape_of id_sub a))
-      (San.Model.activities model);
+  Array.iter
+    (fun (a : A.t) -> Hashtbl.replace id_shapes a.A.name (shape_of id_sub a))
+    (San.Model.activities model);
   let families = ref [] in
   let rec walk depth (n : Compose.info) =
     List.iter
@@ -489,51 +436,48 @@ let analyse model (root : Compose.info) =
             let orbits : (int * int list ref) list ref = ref [] in
             let witnesses = ref [] and breaks = ref [] in
             for c = 0 to ncopies - 1 do
-              if not pure then orbits := !orbits @ [ (c, ref [ c ]) ]
-              else begin
-                let first_reason = ref None in
-                let rec try_join = function
-                  | [] -> false
-                  | (r, ms) :: rest ->
-                      let fail reason =
-                        if !first_reason = None then
-                          first_reason := Some (r, reason);
-                        try_join rest
+              let first_reason = ref None in
+              let rec try_join = function
+                | [] -> false
+                | (r, ms) :: rest ->
+                    let fail reason =
+                      if !first_reason = None then
+                        first_reason := Some (r, reason);
+                      try_join rest
+                    in
+                    if sigs.(r) <> sigs.(c) then
+                      fail
+                        (sig_diff_reason members.(r).Compose.path
+                           members.(c).Compose.path sigs.(r) sigs.(c))
+                    else if prms.(r) <> prms.(c) then
+                      fail
+                        (params_diff_reason members.(r).Compose.path
+                           members.(c).Compose.path prms.(r) prms.(c))
+                    else begin
+                      let sub =
+                        transposition_sub int_by_index float_by_index
+                          slots.(r) slots.(c)
                       in
-                      if sigs.(r) <> sigs.(c) then
-                        fail
-                          (sig_diff_reason members.(r).Compose.path
-                             members.(c).Compose.path sigs.(r) sigs.(c))
-                      else if prms.(r) <> prms.(c) then
-                        fail
-                          (params_diff_reason members.(r).Compose.path
-                             members.(c).Compose.path prms.(r) prms.(c))
-                      else begin
-                        let sub =
-                          transposition_sub int_by_index float_by_index
-                            slots.(r) slots.(c)
-                        in
-                        match
-                          verify model id_shapes sub
-                            ~rpath:members.(r).Compose.path
-                            ~cpath:members.(c).Compose.path
-                        with
-                        | Ok () ->
-                            ms := c :: !ms;
-                            witnesses := (r, c) :: !witnesses;
-                            true
-                        | Error reason -> fail reason
-                      end
-                in
-                if not (try_join !orbits) then begin
-                  orbits := !orbits @ [ (c, ref [ c ]) ];
-                  match !first_reason with
-                  | Some (r, reason) ->
-                      breaks :=
-                        { bk_copy_a = r; bk_copy_b = c; bk_reason = reason }
-                        :: !breaks
-                  | None -> ()
-                end
+                      match
+                        verify model id_shapes sub
+                          ~rpath:members.(r).Compose.path
+                          ~cpath:members.(c).Compose.path
+                      with
+                      | Ok () ->
+                          ms := c :: !ms;
+                          witnesses := (r, c) :: !witnesses;
+                          true
+                      | Error reason -> fail reason
+                    end
+              in
+              if not (try_join !orbits) then begin
+                orbits := !orbits @ [ (c, ref [ c ]) ];
+                match !first_reason with
+                | Some (r, reason) ->
+                    breaks :=
+                      { bk_copy_a = r; bk_copy_b = c; bk_reason = reason }
+                      :: !breaks
+                | None -> ()
               end
             done;
             let fa_orbits =
@@ -569,8 +513,6 @@ let analyse model (root : Compose.info) =
   in
   {
     families;
-    pure;
-    blockers;
     n_int = Array.length ints;
     n_float = Array.length floats;
   }
@@ -681,31 +623,12 @@ let diagnostics report =
                    b.bk_copy_a b.bk_copy_b b.bk_reason))
             fam.fa_breaks
         in
-        let impure =
-          if report.pure then []
-          else
-            [
-              Diagnostic.v ~code:Diagnostic.broken_symmetry
-                ~severity:Diagnostic.Warning
-                ~source:(Diagnostic.Composition fam.fa_path)
-                (Printf.sprintf
-                   "copies cannot be verified exchangeable: the model is not fully declarative (%s)"
-                   (truncate 200 (String.concat "; " report.blockers)));
-            ]
-        in
-        (head :: breaks) @ impure)
+        head :: breaks)
       report.families
   in
   List.sort Diagnostic.compare ds
 
 let describe report =
-  let header =
-    if report.pure then []
-    else
-      "model is not fully declarative; orbits degraded to singletons:"
-      :: List.map (fun b -> "  " ^ b)
-           (List.filteri (fun i _ -> i < 5) report.blockers)
-  in
   let fams =
     List.map
       (fun fam ->
@@ -729,14 +652,17 @@ let describe report =
         String.concat "\n" (base :: breaks))
       report.families
   in
-  String.concat "\n" (header @ fams)
+  String.concat "\n" fams
 
 let to_json report =
   J.Obj
     [
       ("schema", J.Str "itua-orbits/1");
-      ("pure", J.Bool report.pure);
-      ("blockers", J.Arr (List.map (fun s -> J.Str s) report.blockers));
+      (* Every model is declaratively readable since the effect IR became
+         the only activity form; the keys stay so reports are
+         byte-stable. *)
+      ("pure", J.Bool true);
+      ("blockers", J.Arr []);
       ( "families",
         J.Arr
           (List.map

@@ -6,7 +6,7 @@
     shape — behavioral asymmetries (a per-copy rate multiplier, an
     identity coupling like the ITUA model's [on_host] host ids) are
     invisible to it, so its whole-family sort silently assumes what it
-    cannot see. This pass closes both gaps for pure-IR models, in the
+    cannot see. This pass closes both gaps, in the
     spirit of non-anonymous replication (Chiaradonna, Di Giandomenico &
     Masetti, arXiv:1608.05874): it computes the {e orbits} of the
     model's automorphism group restricted to copy permutations, so a
@@ -87,12 +87,6 @@ type family = {
 
 type report = {
   families : family list;  (** deepest first — the {!canon} order *)
-  pure : bool;
-      (** the whole model is declaratively readable (pure IR, no closure
-          guards/dists/weights); orbits of an impure model are all
-          singletons *)
-  blockers : string list;
-      (** when not {!pure}: which activities block static reading *)
   n_int : int;
       (** length of the marking's int vector — {!check_canon} builds its
           witness states from these sizes *)

@@ -1,12 +1,14 @@
 (** Checking passes over a marking space.
 
-    The passes share one {e facts sweep} ({!gather}): every activity
-    function — enabling predicate, firing distribution, case weights,
-    case effects — is evaluated on every marking in the {!Space.t} under
-    {!San.Marking.trace_reads} and {!San.Marking.trace_writes}, and the
-    traces are accumulated into dense per-activity bitsets (place uids
-    are dense, so a set of places is a [Bytes.t]). Each pass is then a
-    pure scan over the facts.
+    The passes share one {e facts sweep} ({!gather}). Read and write sets
+    come from the IR: each activity's guard ({!San.Effect.cond_reads}),
+    timing distribution ({!San.Activity.dist_ir_reads}), case weights
+    ({!San.Effect.rexpr_reads}) and case effects
+    ({!San.Effect.static_reads}, {!San.Effect.static_writes}). What the
+    IR cannot say is evaluated on every marking in the {!Space.t}: which
+    activities are ever enabled, which instantaneous activities tie, and
+    which effects drive a marking negative. Each pass is then a pure scan
+    over the facts.
 
     Effects are evaluated on scratch copies, for every case with
     positive weight, but only where the executor could actually fire
@@ -22,43 +24,17 @@ val gather : Space.t -> facts
 
 val space : facts -> Space.t
 
-val undeclared_reads : facts -> Diagnostic.t list
-(** [A001]: an activity function read a place not in the activity's
-    [reads] list. [Error] for reads from [enabled], the firing
-    distribution, or a case weight — the executor will miss wake-ups.
-    [Warning] for reads from an effect: firing-time reads are always
-    current, but the omission breaks the input-gate discipline and
-    hides the dependency from {!undeclared_writes}. *)
-
-val undeclared_writes : facts -> Diagnostic.t list
-(** [A002]: some effect of activity [W] writes a place that another
-    activity reads — from [enabled], its distribution, or a weight —
-    {e without declaring it}. [W]'s firings will not wake the reader:
-    the staleness [A001] reports from the reader's side, pinpointed to
-    the writes that trigger it. Needs the write traces, hence the
-    {!San.Marking.trace_writes} hook. *)
-
 val negative_writes : facts -> Diagnostic.t list
 (** [A003]: an effect drove an int place negative ([Invalid_argument]
     from {!San.Marking.set}) on a visited marking where the executor
     could have fired it. Always [Error]. *)
 
 val ir_decls : facts -> Diagnostic.t list
-(** [A013]: exact declaration checking for IR activities, subsuming
-    A001/A002 where the syntax tree is available. A guard reading an
-    undeclared place and an IR write that cannot wake an undeclaring
-    reader are [Error]s; effect reads beyond the declared list are one
-    aggregated [Info] per activity (firing-time reads cannot miss
-    wake-ups). For these activities the corresponding sampled A001/A002
-    findings are suppressed. *)
-
-val checked_divergence : facts -> Diagnostic.t list
-(** [A016]: differential replay of [San.Effect.Checked] nodes. On every
-    collected marking where the activity is enabled, the case effect
-    runs once with IR semantics and once with each [Checked] node
-    replaced by its reference closure, both driven by fresh same-seeded
-    streams; any marking difference or one-sided exception is an
-    [Error], at most one per (activity, case). *)
+(** [A013]: exact declaration checking against the IR. A guard, timing
+    distribution or case weight reading an undeclared place, and a write
+    that cannot wake an undeclaring reader, are [Error]s; effect reads
+    beyond the declared list are one aggregated [Info] per activity
+    (firing-time reads cannot miss wake-ups). *)
 
 val liveness : facts -> Diagnostic.t list
 (** [A004] dead activity (never enabled), [A005] never-written place,

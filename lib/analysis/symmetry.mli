@@ -3,7 +3,7 @@
     The copies of a [Compose.replicate] family are {e structurally}
     identical by construction. When they are also {e behaviorally}
     exchangeable — no place stores another copy's identity and every
-    rate/weight closure treats copies alike — the CTMC is lumpable by
+    rate and weight treats copies alike — the CTMC is lumpable by
     the symmetric group acting on copies: two states that differ only
     by a permutation of copy sub-states have identical futures, so one
     canonical representative per orbit suffices. Sorting each family's
@@ -15,7 +15,7 @@
     {!detect} checks the {e static} half of the story: for each family
     it verifies that copies declare the same places (same relative
     names, kinds and initial values, in the same order) and the same
-    activities. The {e behavioral} half — rate closures that do not
+    activities. The {e behavioral} half — rates that do not
     depend on the copy index, no cross-copy identity coupling like the
     ITUA model's [on_host] host ids — is invisible to introspection:
     validate a detected group by comparing lumped against unlumped

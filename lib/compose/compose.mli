@@ -41,52 +41,24 @@ module Ctx : sig
 
   val float_place : t -> ?init:float -> string -> San.Place.fl
 
+  (** {2 Activities}
+
+      Namespaced counterparts of the {!San.Model.Builder} entry points:
+      guard, timing, weights and effects are declarative data, so
+      composed submodels are serializable and exactly analyzable
+      (including the orbit pass of [Analysis.Orbit]). *)
+
   val timed :
     t ->
     name:string ->
     ?policy:San.Activity.policy ->
-    dist:(San.Marking.t -> Dist.t) ->
-    enabled:(San.Marking.t -> bool) ->
+    dist:San.Activity.dist_ir ->
+    guard:San.Effect.cond ->
     reads:San.Place.any list ->
     San.Activity.case list ->
     unit
 
   val timed_exp :
-    t ->
-    name:string ->
-    ?policy:San.Activity.policy ->
-    rate:(San.Marking.t -> float) ->
-    enabled:(San.Marking.t -> bool) ->
-    reads:San.Place.any list ->
-    (San.Activity.ctx -> San.Marking.t -> unit) ->
-    unit
-
-  val timed_exp_cases :
-    t ->
-    name:string ->
-    ?policy:San.Activity.policy ->
-    rate:(San.Marking.t -> float) ->
-    enabled:(San.Marking.t -> bool) ->
-    reads:San.Place.any list ->
-    (float * (San.Activity.ctx -> San.Marking.t -> unit)) list ->
-    unit
-
-  val instantaneous :
-    t ->
-    name:string ->
-    enabled:(San.Marking.t -> bool) ->
-    reads:San.Place.any list ->
-    (San.Activity.ctx -> San.Marking.t -> unit) ->
-    unit
-
-  (** {2 Declarative (IR) activities}
-
-      Namespaced counterparts of the {!San.Model.Builder} IR entry
-      points: guard, rate and effect are declarative data, so composed
-      submodels built through these are serializable and exactly
-      analyzable (including the orbit pass of [Analysis.Orbit]). *)
-
-  val timed_exp_rate_ir :
     t ->
     name:string ->
     ?policy:San.Activity.policy ->
@@ -96,7 +68,7 @@ module Ctx : sig
     San.Effect.t ->
     unit
 
-  val timed_exp_cases_rate_ir :
+  val timed_exp_cases :
     t ->
     name:string ->
     ?policy:San.Activity.policy ->
@@ -106,7 +78,7 @@ module Ctx : sig
     (float * San.Effect.t) list ->
     unit
 
-  val instantaneous_ir :
+  val instantaneous :
     t ->
     name:string ->
     guard:San.Effect.cond ->

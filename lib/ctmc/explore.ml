@@ -58,10 +58,11 @@ let expand model m emit =
     (fun (a : San.Activity.t) ->
       match a.San.Activity.timing with
       | San.Activity.Instantaneous -> ()
-      | San.Activity.Timed { dist; _ } ->
+      | San.Activity.Timed _ ->
           if a.enabled m then begin
+            let dist = a.distribution m in
             let rate =
-              match Dist.rate_of_exponential (dist m) with
+              match Dist.rate_of_exponential dist with
               | Some r -> r
               | None ->
                   raise
@@ -69,7 +70,7 @@ let expand model m emit =
                        (Printf.sprintf
                           "activity %s has non-exponential distribution %s"
                           a.name
-                          (Format.asprintf "%a" Dist.pp (dist m))))
+                          (Format.asprintf "%a" Dist.pp dist)))
             in
             if rate > 0.0 then begin
               let weights = normalized_weights a m in
@@ -94,7 +95,7 @@ let explore ?(max_states = 200_000) ?(canon = fun k -> k) ?(audit = false)
   let pool = Walker.Pool.create () in
   let frontier = Queue.create () in
   (* Lumpability audit: a sound canon maps a state and its representative
-     to identical one-step behaviour over canonical classes. Checked on
+     to identical one-step behaviour over canonical classes. Verified on
      every distinct pre-canon key whose representative differs. *)
   let successors_by_class m =
     let tbl = Hashtbl.create 16 in

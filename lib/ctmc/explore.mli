@@ -7,10 +7,9 @@
     through chains of instantaneous firings), and every timed activity
     must be exponentially distributed in every explored marking.
 
-    Limits: effects must be deterministic given the marking (an effect
-    that draws from the random stream raises through
-    {!San.Activity.stream_exn}), and the reachable stable state space must
-    be finite (bounded by [max_states]).
+    Limits: the reachable stable state space must be finite (bounded by
+    [max_states]). An effect's [Pick] forks into its feasible branches
+    with uniform weights instead of drawing from a random stream.
 
     {b Representation.} States are interned by {!Walker.Pool} (a full-key
     hash), numbered in first-seen breadth-first order. Transitions are

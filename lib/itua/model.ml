@@ -480,9 +480,9 @@ let build params =
             *. p.Params.ids_decision_rate) )
   in
   let ids_cases b ~name ~guard ~reads cases =
-    B.timed_dist_ir b ~name ~dist:ids_latency_dist ~guard ~reads
+    B.timed b ~name ~dist:ids_latency_dist ~guard ~reads
       (List.map
-         (fun (w, eff) -> San.Activity.make_case ~weight_ir:(E.RConst w) eff)
+         (fun (w, eff) -> San.Activity.make_case ~weight:(E.RConst w) eff)
          cases)
   in
   (* Is the replica's host corrupt?  Only meaningful while running.  The
@@ -555,7 +555,7 @@ let build params =
           in
           (* attack_rep: successful attack on the replica; faster when its
              host is corrupt. *)
-          B.timed_exp_rate_ir b
+          B.timed_exp b
             ~name:(replica_name a r "attack_rep")
             ~rate:
               (let base = Params.replica_attack_rate p in
@@ -587,7 +587,7 @@ let build params =
           (* rep_misbehave: anomalous behaviour during group communication
              is always caught while the group can reach agreement. *)
           if p.Params.misbehave_rate > 0.0 then
-            B.timed_exp_rate_ir b
+            B.timed_exp b
               ~name:(replica_name a r "rep_misbehave")
               ~rate:(E.RConst p.Params.misbehave_rate)
               ~guard:
@@ -612,7 +612,7 @@ let build params =
              that valid_ID missed).  Host-level false alarms, by contrast,
              really do hit clean hosts; see false_ID on the Host SAN. *)
           if Params.replica_false_alarm_rate p > 0.0 then
-            B.timed_exp_rate_ir b
+            B.timed_exp b
               ~name:(replica_name a r "false_ID")
               ~rate:(E.RConst (Params.replica_false_alarm_rate p))
               ~guard:(E.All [ pe sl.corrupt 1; pe sl.convicted 0 ])
@@ -623,7 +623,7 @@ let build params =
              the host down only when the infiltration was detected on it
              (IDS conviction) and otherwise just kills and replaces the
              convicted replica. *)
-          B.instantaneous_ir b
+          B.instantaneous b
             ~name:(replica_name a r "respond_conviction")
             ~guard:
               (E.All
@@ -651,7 +651,7 @@ let build params =
   Array.iteri
     (fun a ap ->
       ignore a;
-      B.timed_exp_rate_ir b
+      B.timed_exp b
         ~name:(Printf.sprintf "app[%d].management.recovery" a)
         ~rate:(E.RConst p.Params.recovery_rate)
         ~guard:
@@ -679,7 +679,7 @@ let build params =
      [Pick] branches) consume no randomness, so configurations whose
      placement is deterministic (e.g. one domain with one host) remain
      explorable by the analytical CTMC path. *)
-  B.instantaneous_ir b ~name:"place_replicas"
+  B.instantaneous b ~name:"place_replicas"
     ~guard:
       (E.Any
          (List.init na (fun a ->
@@ -716,7 +716,7 @@ let build params =
     let hp = host_places_of sk g in
     (* attack_host: three attack classes; the rate grows linearly with the
        accumulated intra-domain and system-wide spread. *)
-    B.timed_exp_cases_rate_ir b
+    B.timed_exp_cases b
       ~name:(host_name g "attack_host")
       ~rate:
         (E.RExpr
@@ -741,7 +741,7 @@ let build params =
        attacker's knowledge gained from the successful intrusion, which
        excluding the compromised host does not erase. *)
     if p.Params.spread_rate_domain > 0.0 then
-      B.timed_exp_rate_ir b
+      B.timed_exp b
         ~name:(host_name g "propagate_domain")
         ~rate:(E.RConst p.Params.spread_rate_domain)
         ~guard:
@@ -756,7 +756,7 @@ let build params =
              E.Set (hp.prop_dom_done, E.Int 1);
            ]);
     if p.Params.spread_rate_system > 0.0 then
-      B.timed_exp_rate_ir b
+      B.timed_exp b
         ~name:(host_name g "propagate_sys")
         ~rate:(E.RConst p.Params.spread_rate_system)
         ~guard:
@@ -799,7 +799,7 @@ let build params =
       ];
     (* False alarms of host/manager infiltration. *)
     if Params.host_false_alarm_rate p > 0.0 then
-      B.timed_exp_rate_ir b
+      B.timed_exp b
         ~name:(host_name g "false_ID")
         ~rate:(E.RConst (Params.host_false_alarm_rate p))
         ~guard:
@@ -818,7 +818,7 @@ let build params =
         (E.Ops [ E.Set (hp.host_detected, E.Int 1) ]);
     (* Response to a host-level detection requires a trustworthy local
        manager and domain manager group (Section 3.4). *)
-    B.instantaneous_ir b
+    B.instantaneous b
       ~name:(host_name g "respond_host_detect")
       ~guard:
         (E.All
@@ -833,7 +833,7 @@ let build params =
         @ mgr_group_reads)
       (respond_e sk g);
     (* attack_mgmt: attacks against the manager on this host. *)
-    B.timed_exp_rate_ir b
+    B.timed_exp b
       ~name:(host_name g "attack_mgmt")
       ~rate:
         (let base = Params.manager_attack_rate p in
@@ -889,7 +889,7 @@ let build params =
       ];
     (* Response to a detected corrupt manager: the replication/management
        groups know, so the domain group or the global quorum suffices. *)
-    B.instantaneous_ir b
+    B.instantaneous b
       ~name:(host_name g "respond_mgr_detect")
       ~guard:
         (E.All

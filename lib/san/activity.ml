@@ -1,7 +1,3 @@
-type ctx = Effect.ctx = { time : float; stream : Prng.Stream.t option }
-
-let stream_exn = Effect.stream_exn
-
 type policy = Keep | Resample
 
 type dist_ir =
@@ -16,7 +12,7 @@ type dist_ir =
 
 (* All-constant parameters fold to one preallocated [Dist.t]; otherwise
    each parameter compiles via [Effect.rexpr_fn] and a fresh record is
-   built per evaluation, exactly like the historical closures did. *)
+   built per evaluation. *)
 let dist_fn ir =
   let open Effect in
   let constant =
@@ -80,16 +76,12 @@ let dist_ir_reads ir =
 
 type timing =
   | Instantaneous
-  | Timed of {
-      dist : Marking.t -> Dist.t;
-      policy : policy;
-      dist_ir : dist_ir option;
-    }
+  | Timed of { dist : dist_ir; policy : policy }
 
 type case = {
-  case_weight : Marking.t -> float;
-  weight_ir : Effect.rexpr option;
+  weight : Effect.rexpr;
   effect : Effect.t;
+  case_weight : Marking.t -> float;
   prog : Effect.prog;
 }
 
@@ -97,29 +89,44 @@ type t = {
   id : int;
   name : string;
   timing : timing;
-  enabled : Marking.t -> bool;
-  guard : Effect.cond option;
+  guard : Effect.cond;
   reads : Place.any list;
   cases : case array;
+  enabled : Marking.t -> bool;
+  distribution : Marking.t -> Dist.t;
 }
 
-let make_case ?weight ?weight_ir effect =
-  let case_weight, weight_ir =
-    match (weight, weight_ir) with
-    | Some w, ir -> (w, ir)
-    | None, Some r -> (Effect.rexpr_fn r, Some r)
-    | None, None -> ((fun _ -> 1.0), Some (Effect.RConst 1.0))
-  in
-  { case_weight; weight_ir; effect; prog = Effect.compile effect }
+let make_case ?(weight = Effect.RConst 1.0) effect =
+  {
+    weight;
+    effect;
+    case_weight = Effect.rexpr_fn weight;
+    prog = Effect.compile effect;
+  }
 
-let closure_case ?weight ~name run =
-  make_case ?weight (Effect.Opaque { Effect.oname = name; run })
+let make ~id ~name ~timing ~guard ~reads cases =
+  let distribution =
+    match timing with
+    | Timed { dist; _ } -> dist_fn dist
+    | Instantaneous ->
+        fun _ ->
+          invalid_arg
+            (Printf.sprintf "Activity %S is instantaneous: no distribution"
+               name)
+  in
+  {
+    id;
+    name;
+    timing;
+    guard;
+    reads;
+    cases;
+    enabled = Effect.cond_fn guard;
+    distribution;
+  }
 
 let is_instantaneous a =
   match a.timing with Instantaneous -> true | Timed _ -> false
-
-let pure_ir a =
-  Array.for_all (fun c -> Effect.is_pure c.effect) a.cases
 
 let pp ppf a =
   Format.fprintf ppf "%s(%s)" a.name

@@ -26,21 +26,15 @@
        picks one uniformly at random, matching the "equally likely to fire
        first" convention used throughout the ITUA paper.}} *)
 
-type ctx = Effect.ctx = { time : float; stream : Prng.Stream.t option }
-(** Re-export of {!Effect.ctx} (historical home of the type). *)
-
-val stream_exn : ctx -> Prng.Stream.t
-(** The context's random stream; raises [Failure] in analytical mode. *)
-
 type policy =
   | Keep  (** hold the sampled time while continuously enabled *)
   | Resample  (** re-draw whenever a dependency changes (see above) *)
 
 (** Declarative timing distribution: a {!Dist.t} shape whose parameters
-    are {!Effect.rexpr} rate expressions. This is the serializable
-    counterpart of the [Marking.t -> Dist.t] closure; {!dist_fn}
-    compiles it back to one (folding all-constant parameters into a
-    single preallocated distribution record). *)
+    are {!Effect.rexpr} rate expressions. {!dist_fn} compiles it to the
+    [Marking.t -> Dist.t] function the executor samples from (folding
+    all-constant parameters into a single preallocated distribution
+    record). *)
 type dist_ir =
   | DExp of Effect.rexpr  (** exponential, by rate *)
   | DDet of Effect.rexpr  (** deterministic delay *)
@@ -52,72 +46,65 @@ type dist_ir =
   | DNormal of Effect.rexpr * Effect.rexpr  (** mean, stddev *)
 
 val dist_fn : dist_ir -> Marking.t -> Dist.t
-(** Compile a declarative distribution to the closure form the executor
-    samples from. Evaluates each parameter with {!Effect.rexpr_fn}, so
-    a ported closure rate yields bit-identical samples. *)
+(** Compile a declarative distribution to the function the executor
+    samples from. Each parameter is evaluated with {!Effect.rexpr_fn}. *)
 
 val dist_ir_reads : dist_ir -> int list
 (** Sorted uids of places the distribution's parameters can read. *)
 
 type timing =
   | Instantaneous
-  | Timed of {
-      dist : Marking.t -> Dist.t;
-      policy : policy;
-      dist_ir : dist_ir option;
-          (** When present, the declarative form of [dist] (builders
-              derive [dist] from it via {!dist_fn}). [None] marks a
-              closure-only distribution, which serialization rejects. *)
-    }
+  | Timed of { dist : dist_ir; policy : policy }
 
-type case = {
-  case_weight : Marking.t -> float;
+(** One way an activity can complete. [weight] and [effect] state the
+    case; [case_weight] and [prog] are compiled from them by
+    {!make_case}, which is the only way to build one. *)
+type case = private {
+  weight : Effect.rexpr;
       (** Non-negative, marking-dependent; normalized over the activity's
           cases at firing time. *)
-  weight_ir : Effect.rexpr option;
-      (** When present, the declarative form of [case_weight] (builders
-          derive [case_weight] from it). [None] marks a closure-only
-          weight, which serialization rejects. *)
   effect : Effect.t;
+  case_weight : Marking.t -> float;  (** [weight], compiled *)
   prog : Effect.prog;
-      (** [effect] compiled once at construction time; the executor's hot
-          path runs this instead of interpreting [effect]. Keep the two
-          in sync by building cases with {!make_case}. *)
+      (** [effect], compiled; the executor's hot path runs this instead
+          of interpreting [effect]. *)
 }
 
-type t = {
+(** An activity. [guard], [timing], [reads] and [cases] state it;
+    [enabled] and [distribution] are compiled from them by {!make}, which
+    is the only way to build one, so the two forms cannot disagree. *)
+type t = private {
   id : int;
   name : string;
   timing : timing;
-  enabled : Marking.t -> bool;
-  guard : Effect.cond option;
-      (** When present, the declarative form of [enabled] (the two must
-          agree on every marking; builders derive [enabled] from the
-          guard). [None] marks a closure-only enabling predicate, which
-          structural analysis can only observe. *)
+  guard : Effect.cond;  (** the enabling predicate *)
   reads : Place.any list;
-      (** Every place whose marking can influence [enabled], the firing
+      (** Every place whose marking can influence [guard], the firing
           distribution, or the case weights. Omissions make the executor
-          miss wake-ups; the model checker ([Analysis.Check], diagnostics
-          A001/A013) detects them. *)
+          miss wake-ups; the model checker ([Analysis.Check], diagnostic
+          A013) detects them. *)
   cases : case array;
+  enabled : Marking.t -> bool;  (** [guard], compiled *)
+  distribution : Marking.t -> Dist.t;
+      (** The [Timed] distribution, compiled with {!dist_fn}; raises
+          [Invalid_argument] on an instantaneous activity. *)
 }
 
-val make_case :
-  ?weight:(Marking.t -> float) -> ?weight_ir:Effect.rexpr -> Effect.t -> case
-(** Build a case, compiling the effect. With [weight_ir] (and no
-    [weight]) the closure weight is derived from it; with neither, the
-    weight is the constant 1.0 (recorded declaratively). An explicit
-    [weight] closure wins and leaves [weight_ir] as passed (default
-    [None], i.e. non-portable). *)
+val make_case : ?weight:Effect.rexpr -> Effect.t -> case
+(** Build a case, compiling the weight (default [RConst 1.0]) and the
+    effect. *)
 
-val closure_case :
-  ?weight:(Marking.t -> float) -> name:string -> (ctx -> Marking.t -> unit) -> case
-(** Escape hatch: a case whose effect is an {!Effect.Opaque} closure. *)
+val make :
+  id:int ->
+  name:string ->
+  timing:timing ->
+  guard:Effect.cond ->
+  reads:Place.any list ->
+  case array ->
+  t
+(** Build an activity, compiling its guard and distribution. Models build
+    activities through [Model.Builder], which assigns [id]. *)
 
 val is_instantaneous : t -> bool
-
-val pure_ir : t -> bool
-(** Every case effect is closure-free IR (see {!Effect.is_pure}). *)
 
 val pp : Format.formatter -> t -> unit

@@ -3,12 +3,6 @@ type t = {
   floats : float array;
   mutable journal : int list;
   journalled : Bytes.t;  (* one flag per uid to dedupe journal entries *)
-  mutable tracing : bool;
-  mutable reads : int list;
-  read_flags : Bytes.t;
-  mutable wtracing : bool;
-  mutable writes : int list;
-  write_flags : Bytes.t;
 }
 
 let create ~ints ~floats =
@@ -17,12 +11,6 @@ let create ~ints ~floats =
     floats = Array.make floats 0.0;
     journal = [];
     journalled = Bytes.make (ints + floats) '\000';
-    tracing = false;
-    reads = [];
-    read_flags = Bytes.make (ints + floats) '\000';
-    wtracing = false;
-    writes = [];
-    write_flags = Bytes.make (ints + floats) '\000';
   }
 
 let copy m =
@@ -31,61 +19,7 @@ let copy m =
     floats = Array.copy m.floats;
     journal = [];
     journalled = Bytes.make (Bytes.length m.journalled) '\000';
-    tracing = false;
-    reads = [];
-    read_flags = Bytes.make (Bytes.length m.read_flags) '\000';
-    wtracing = false;
-    writes = [];
-    write_flags = Bytes.make (Bytes.length m.write_flags) '\000';
   }
-
-let record_read m uid =
-  if Bytes.get m.read_flags uid = '\000' then begin
-    Bytes.set m.read_flags uid '\001';
-    m.reads <- uid :: m.reads
-  end
-
-let trace_reads m f =
-  if m.tracing then invalid_arg "Marking.trace_reads: not reentrant";
-  m.tracing <- true;
-  m.reads <- [];
-  let result =
-    try f ()
-    with e ->
-      m.tracing <- false;
-      List.iter (fun uid -> Bytes.set m.read_flags uid '\000') m.reads;
-      m.reads <- [];
-      raise e
-  in
-  m.tracing <- false;
-  let reads = m.reads in
-  List.iter (fun uid -> Bytes.set m.read_flags uid '\000') reads;
-  m.reads <- [];
-  (result, reads)
-
-let record_write m uid =
-  if Bytes.get m.write_flags uid = '\000' then begin
-    Bytes.set m.write_flags uid '\001';
-    m.writes <- uid :: m.writes
-  end
-
-let trace_writes m f =
-  if m.wtracing then invalid_arg "Marking.trace_writes: not reentrant";
-  m.wtracing <- true;
-  m.writes <- [];
-  let result =
-    try f ()
-    with e ->
-      m.wtracing <- false;
-      List.iter (fun uid -> Bytes.set m.write_flags uid '\000') m.writes;
-      m.writes <- [];
-      raise e
-  in
-  m.wtracing <- false;
-  let writes = m.writes in
-  List.iter (fun uid -> Bytes.set m.write_flags uid '\000') writes;
-  m.writes <- [];
-  (result, writes)
 
 let record m uid =
   if Bytes.get m.journalled uid = '\000' then begin
@@ -93,12 +27,9 @@ let record m uid =
     m.journal <- uid :: m.journal
   end
 
-let get m p =
-  if m.tracing then record_read m (Place.uid p);
-  m.ints.(Place.index p)
+let get m p = m.ints.(Place.index p)
 
 let set m p v =
-  if m.wtracing then record_write m (Place.uid p);
   if v < 0 then
     invalid_arg
       (Printf.sprintf "Marking.set: place %s would become negative (%d)"
@@ -110,12 +41,9 @@ let set m p v =
 
 let add m p d = set m p (get m p + d)
 
-let fget m p =
-  if m.tracing then record_read m (Place.fuid p);
-  m.floats.(Place.findex p)
+let fget m p = m.floats.(Place.findex p)
 
 let fset m p v =
-  if m.wtracing then record_write m (Place.fuid p);
   if m.floats.(Place.findex p) <> v then begin
     m.floats.(Place.findex p) <- v;
     record m (Place.fuid p)
@@ -132,18 +60,4 @@ let journal m = m.journal
 let int_snapshot m = Array.copy m.ints
 let float_snapshot m = Array.copy m.floats
 
-let diff ~before after =
-  if Array.length before.ints <> Array.length after.ints then
-    invalid_arg "Marking.diff: markings are from different models";
-  let out = ref [] in
-  for i = Array.length before.ints - 1 downto 0 do
-    let d = after.ints.(i) - before.ints.(i) in
-    if d <> 0 then out := (i, d) :: !out
-  done;
-  !out
-
-let float_changed ~before after = before.floats <> after.floats
-
 let equal a b = a.ints = b.ints && a.floats = b.floats
-
-let hash m = Hashtbl.hash (m.ints, m.floats)

@@ -61,130 +61,42 @@ module Builder = struct
     b.floats <- (p, init) :: b.floats;
     p
 
-  let add_activity b ~name ~timing ~enabled ~guard ~reads cases =
+  let activity b ~name ~timing ~guard ~reads cases =
     check_fresh b "activity" b.act_names name;
     if cases = [] then
       invalid_arg
         (Printf.sprintf "Model.Builder: activity %S needs at least one case"
            name);
     let act =
-      {
-        Activity.id = List.length b.acts;
-        name;
-        timing;
-        enabled;
-        guard;
-        reads;
-        cases = Array.of_list cases;
-      }
+      Activity.make ~id:(List.length b.acts) ~name ~timing ~guard ~reads
+        (Array.of_list cases)
     in
     b.acts <- act :: b.acts
 
-  let activity b ~name ~timing ~enabled ~reads cases =
-    add_activity b ~name ~timing ~enabled ~guard:None ~reads cases
-
-  let timed b ~name ?(policy = Activity.Resample) ~dist ~enabled ~reads cases
-      =
-    activity b ~name
-      ~timing:(Activity.Timed { dist; policy; dist_ir = None })
-      ~enabled ~reads cases
-
-  let opaque_case ?weight ~act_name run =
-    Activity.closure_case ?weight ~name:(act_name ^ ".effect") run
-
-  let one_case ~act_name effect = [ opaque_case ~act_name effect ]
-
-  let timed_exp b ~name ?policy ~rate ~enabled ~reads effect =
-    timed b ~name ?policy
-      ~dist:(fun m -> Dist.Exponential { rate = rate m })
-      ~enabled ~reads
-      (one_case ~act_name:name effect)
-
-  let check_weight name w =
-    if w < 0.0 then
-      invalid_arg
-        (Printf.sprintf
-           "Model.Builder: activity %S has negative case probability" name)
-
-  let timed_exp_cases b ~name ?policy ~rate ~enabled ~reads cases =
-    let cases =
-      List.map
-        (fun (w, effect) ->
-          check_weight name w;
-          opaque_case ~weight:(fun _ -> w) ~act_name:name effect)
-        cases
-    in
-    timed b ~name ?policy
-      ~dist:(fun m -> Dist.Exponential { rate = rate m })
-      ~enabled ~reads cases
-
-  let instantaneous b ~name ~enabled ~reads effect =
-    activity b ~name ~timing:Activity.Instantaneous ~enabled ~reads
-      (one_case ~act_name:name effect)
-
-  (* IR entry points: the enabling predicate is a declarative guard
-     (compiled to the [enabled] closure) and effects are [Effect.t]
-     terms, so structural analysis reads the activity exactly. *)
-
-  let activity_ir b ~name ~timing ~guard ~reads cases =
-    add_activity b ~name ~timing ~enabled:(Effect.cond_fn guard)
-      ~guard:(Some guard) ~reads cases
-
-  let timed_ir b ~name ?(policy = Activity.Resample) ~dist ~guard ~reads cases
-      =
-    activity_ir b ~name
-      ~timing:(Activity.Timed { dist; policy; dist_ir = None })
-      ~guard ~reads cases
-
-  let timed_exp_ir b ~name ?policy ~rate ~guard ~reads effect =
-    timed_ir b ~name ?policy
-      ~dist:(fun m -> Dist.Exponential { rate = rate m })
-      ~guard ~reads
-      [ Activity.make_case effect ]
-
-  let timed_exp_cases_ir b ~name ?policy ~rate ~guard ~reads cases =
-    let cases =
-      List.map
-        (fun (w, effect) ->
-          check_weight name w;
-          Activity.make_case ~weight:(fun _ -> w) effect)
-        cases
-    in
-    timed_ir b ~name ?policy
-      ~dist:(fun m -> Dist.Exponential { rate = rate m })
-      ~guard ~reads cases
-
-  (* Fully-declarative entry points: the timing distribution (and case
-     weights) are data, so the activity serializes. The derived
-     closures evaluate the same float operations in the same order as a
-     hand-written closure, keeping trajectories bit-identical when a
-     model is ported (or reloaded from disk). *)
-
-  let timed_dist_ir b ~name ?(policy = Activity.Resample) ~dist ~guard ~reads
-      cases =
-    activity_ir b ~name
-      ~timing:
-        (Activity.Timed
-           { dist = Activity.dist_fn dist; policy; dist_ir = Some dist })
-      ~guard ~reads cases
-
-  let timed_exp_rate_ir b ~name ?policy ~rate ~guard ~reads effect =
-    timed_dist_ir b ~name ?policy ~dist:(Activity.DExp rate) ~guard ~reads
-      [ Activity.make_case effect ]
-
-  let timed_exp_cases_rate_ir b ~name ?policy ~rate ~guard ~reads cases =
-    let cases =
-      List.map
-        (fun (w, effect) ->
-          check_weight name w;
-          Activity.make_case ~weight_ir:(Effect.RConst w) effect)
-        cases
-    in
-    timed_dist_ir b ~name ?policy ~dist:(Activity.DExp rate) ~guard ~reads
+  let timed b ~name ?(policy = Activity.Resample) ~dist ~guard ~reads cases =
+    activity b ~name ~timing:(Activity.Timed { dist; policy }) ~guard ~reads
       cases
 
-  let instantaneous_ir b ~name ~guard ~reads effect =
-    activity_ir b ~name ~timing:Activity.Instantaneous ~guard ~reads
+  let timed_exp b ~name ?policy ~rate ~guard ~reads effect =
+    timed b ~name ?policy ~dist:(Activity.DExp rate) ~guard ~reads
+      [ Activity.make_case effect ]
+
+  let timed_exp_cases b ~name ?policy ~rate ~guard ~reads cases =
+    let cases =
+      List.map
+        (fun (w, effect) ->
+          if w < 0.0 then
+            invalid_arg
+              (Printf.sprintf
+                 "Model.Builder: activity %S has negative case probability"
+                 name);
+          Activity.make_case ~weight:(Effect.RConst w) effect)
+        cases
+    in
+    timed b ~name ?policy ~dist:(Activity.DExp rate) ~guard ~reads cases
+
+  let instantaneous b ~name ~guard ~reads effect =
+    activity b ~name ~timing:Activity.Instantaneous ~guard ~reads
       [ Activity.make_case effect ]
 
   let build b =
@@ -267,15 +179,13 @@ let dependents m uid =
   else
     Array.to_list (Array.map (fun id -> m.activities.(id)) m.dependents.(uid))
 
-let pure_ir m = Array.for_all Activity.pure_ir m.activities
-
 let all_exponential m =
   let mk = initial_marking m in
   Array.for_all
     (fun (a : Activity.t) ->
       match a.timing with
       | Activity.Instantaneous -> true
-      | Activity.Timed { dist; _ } -> Dist.is_exponential (dist mk))
+      | Activity.Timed _ -> Dist.is_exponential (a.distribution mk))
     m.activities
 
 let pp_summary ppf m =

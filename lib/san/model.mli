@@ -24,11 +24,20 @@ module Builder : sig
 
   val float_place : t -> ?init:float -> string -> Place.fl
 
+  (** {2 Activities}
+
+      An activity is stated entirely as data: an {!Effect.cond} guard, a
+      timing distribution as {!Activity.dist_ir}, case weights as
+      {!Effect.rexpr} and effects as {!Effect.t} terms. The executor's
+      closures are compiled from that data, and the whole activity is
+      readable by structural analysis and serializable ([Serial],
+      [itua_sim save]). *)
+
   val activity :
     t ->
     name:string ->
     timing:Activity.timing ->
-    enabled:(Marking.t -> bool) ->
+    guard:Effect.cond ->
     reads:Place.any list ->
     Activity.case list ->
     unit
@@ -39,8 +48,8 @@ module Builder : sig
     t ->
     name:string ->
     ?policy:Activity.policy ->
-    dist:(Marking.t -> Dist.t) ->
-    enabled:(Marking.t -> bool) ->
+    dist:Activity.dist_ir ->
+    guard:Effect.cond ->
     reads:Place.any list ->
     Activity.case list ->
     unit
@@ -52,10 +61,10 @@ module Builder : sig
     t ->
     name:string ->
     ?policy:Activity.policy ->
-    rate:(Marking.t -> float) ->
-    enabled:(Marking.t -> bool) ->
+    rate:Effect.rexpr ->
+    guard:Effect.cond ->
     reads:Place.any list ->
-    (Activity.ctx -> Marking.t -> unit) ->
+    Effect.t ->
     unit
   (** Single-case exponential activity, the most common shape. *)
 
@@ -63,118 +72,23 @@ module Builder : sig
     t ->
     name:string ->
     ?policy:Activity.policy ->
-    rate:(Marking.t -> float) ->
-    enabled:(Marking.t -> bool) ->
+    rate:Effect.rexpr ->
+    guard:Effect.cond ->
     reads:Place.any list ->
-    (float * (Activity.ctx -> Marking.t -> unit)) list ->
+    (float * Effect.t) list ->
     unit
   (** Exponential activity with constant-probability cases, e.g. the
-      three-way attack-class split of [attack_host]. *)
+      three-way attack-class split of [attack_host]; each weight is
+      recorded as [Effect.RConst]. *)
 
   val instantaneous :
     t ->
     name:string ->
-    enabled:(Marking.t -> bool) ->
+    guard:Effect.cond ->
     reads:Place.any list ->
-    (Activity.ctx -> Marking.t -> unit) ->
+    Effect.t ->
     unit
   (** Single-case instantaneous activity. *)
-
-  (** {2 Declarative (IR) activities}
-
-      These variants take an {!Effect.cond} guard instead of an enabling
-      closure (the closure is compiled from the guard) and {!Effect.t}
-      effects, making the activity fully readable by structural
-      analysis. Prefer them; the closure entry points above remain as
-      the escape hatch (their effects are wrapped in {!Effect.Opaque}). *)
-
-  val activity_ir :
-    t ->
-    name:string ->
-    timing:Activity.timing ->
-    guard:Effect.cond ->
-    reads:Place.any list ->
-    Activity.case list ->
-    unit
-
-  val timed_ir :
-    t ->
-    name:string ->
-    ?policy:Activity.policy ->
-    dist:(Marking.t -> Dist.t) ->
-    guard:Effect.cond ->
-    reads:Place.any list ->
-    Activity.case list ->
-    unit
-
-  val timed_exp_ir :
-    t ->
-    name:string ->
-    ?policy:Activity.policy ->
-    rate:(Marking.t -> float) ->
-    guard:Effect.cond ->
-    reads:Place.any list ->
-    Effect.t ->
-    unit
-
-  val timed_exp_cases_ir :
-    t ->
-    name:string ->
-    ?policy:Activity.policy ->
-    rate:(Marking.t -> float) ->
-    guard:Effect.cond ->
-    reads:Place.any list ->
-    (float * Effect.t) list ->
-    unit
-
-  val instantaneous_ir :
-    t ->
-    name:string ->
-    guard:Effect.cond ->
-    reads:Place.any list ->
-    Effect.t ->
-    unit
-
-  (** {2 Fully-declarative activities}
-
-      These variants additionally take the timing distribution as
-      {!Activity.dist_ir} data (and case weights as {!Effect.rexpr}),
-      so the whole activity — guard, timing, weights, effects — is
-      serializable ([Serial], [itua_sim save]). The derived sampling
-      closures are bit-identical to hand-written ones. *)
-
-  val timed_dist_ir :
-    t ->
-    name:string ->
-    ?policy:Activity.policy ->
-    dist:Activity.dist_ir ->
-    guard:Effect.cond ->
-    reads:Place.any list ->
-    Activity.case list ->
-    unit
-
-  val timed_exp_rate_ir :
-    t ->
-    name:string ->
-    ?policy:Activity.policy ->
-    rate:Effect.rexpr ->
-    guard:Effect.cond ->
-    reads:Place.any list ->
-    Effect.t ->
-    unit
-  (** Single-case exponential activity with a declarative rate. *)
-
-  val timed_exp_cases_rate_ir :
-    t ->
-    name:string ->
-    ?policy:Activity.policy ->
-    rate:Effect.rexpr ->
-    guard:Effect.cond ->
-    reads:Place.any list ->
-    (float * Effect.t) list ->
-    unit
-  (** Exponential activity with constant-probability cases; each weight
-      is recorded declaratively as [Effect.RConst]. *)
 
   val build : t -> model
   (** Freezes the builder. The builder must not be reused afterwards. *)
@@ -203,10 +117,6 @@ val initial_marking : t -> Marking.t
 val dependents : t -> int -> Activity.t list
 (** [dependents model uid] lists the activities that declared the place
     with uid [uid] in their [reads]. *)
-
-val pure_ir : t -> bool
-(** Every case effect of every activity is closure-free IR, i.e. the
-    incidence structure of the whole model is exactly readable. *)
 
 val all_exponential : t -> bool
 (** True when every timed activity's distribution is exponential in every

@@ -2,64 +2,6 @@ module J = Report.Json
 
 let schema = "itua-model/1"
 
-exception Unportable of string
-
-let unportable act what =
-  raise (Unportable (Printf.sprintf "activity %S: %s" act what))
-
-(* Aggregated portability scan, run before any emission: one [Unportable]
-   naming EVERY offending activity with all of its reasons, so a model
-   with several closure escapes is fixed in one round trip instead of
-   one error per attempt. The per-site [unportable] raises in the
-   emitters below remain as backstops but are unreachable after this. *)
-let rec opaque_names (t : San.Effect.t) =
-  match t with
-  | San.Effect.Skip | San.Effect.Ops _ -> []
-  | San.Effect.Seq es -> List.concat_map opaque_names es
-  | San.Effect.If (_, a, b) -> opaque_names a @ opaque_names b
-  | San.Effect.Pick bs -> List.concat_map (fun (_, e) -> opaque_names e) bs
-  | San.Effect.Checked { ir; _ } -> opaque_names ir
-  | San.Effect.Opaque { oname; _ } -> [ oname ]
-
-let check_portable model =
-  let problems =
-    Array.to_list (San.Model.activities model)
-    |> List.filter_map (fun (a : San.Activity.t) ->
-           let ps = ref [] in
-           let add what = ps := what :: !ps in
-           (match a.timing with
-           | San.Activity.Timed { dist_ir = None; _ } ->
-               add "closure-only timing distribution"
-           | _ -> ());
-           (match a.guard with
-           | None -> add "closure enabling predicate"
-           | Some _ -> ());
-           Array.iteri
-             (fun i (c : San.Activity.case) ->
-               (match c.weight_ir with
-               | None -> add (Printf.sprintf "closure weight of case %d" i)
-               | Some _ -> ());
-               List.iter
-                 (fun o ->
-                   add (Printf.sprintf "opaque effect %S in case %d" o i))
-                 (opaque_names c.effect))
-             a.cases;
-           match List.rev !ps with
-           | [] -> None
-           | ps ->
-               Some
-                 (Printf.sprintf "activity %S: %s" a.name
-                    (String.concat ", " ps)))
-  in
-  match problems with
-  | [] -> ()
-  | ps ->
-      raise
-        (Unportable
-           (Printf.sprintf "%d unportable activit%s — %s" (List.length ps)
-              (if List.length ps = 1 then "y" else "ies")
-              (String.concat "; " ps)))
-
 (* ------------------------------------------------------------------ *)
 (* Emission.  Key order is fixed so equal models produce equal bytes. *)
 (* ------------------------------------------------------------------ *)
@@ -116,19 +58,19 @@ let op_json = function
   | San.Effect.FInc (p, e) ->
       J.Arr [ J.Str "finc"; J.Str (San.Place.fname p); fexpr_json e ]
 
-let rec effect_json ~act = function
+let rec effect_json = function
   | San.Effect.Skip -> J.Str "skip"
   | San.Effect.Ops ops -> J.Obj [ ("ops", J.Arr (List.map op_json ops)) ]
   | San.Effect.Seq es ->
-      J.Obj [ ("seq", J.Arr (List.map (effect_json ~act) es)) ]
+      J.Obj [ ("seq", J.Arr (List.map (effect_json) es)) ]
   | San.Effect.If (c, t, San.Effect.Skip) ->
-      J.Obj [ ("if", cond_json c); ("then", effect_json ~act t) ]
+      J.Obj [ ("if", cond_json c); ("then", effect_json t) ]
   | San.Effect.If (c, t, e) ->
       J.Obj
         [
           ("if", cond_json c);
-          ("then", effect_json ~act t);
-          ("else", effect_json ~act e);
+          ("then", effect_json t);
+          ("else", effect_json e);
         ]
   | San.Effect.Pick branches ->
       J.Obj
@@ -136,13 +78,9 @@ let rec effect_json ~act = function
           ( "pick",
             J.Arr
               (List.map
-                 (fun (c, e) -> J.Arr [ cond_json c; effect_json ~act e ])
+                 (fun (c, e) -> J.Arr [ cond_json c; effect_json e ])
                  branches) );
         ]
-  | San.Effect.Checked { ir; _ } ->
-      J.Obj [ ("checked", effect_json ~act ir) ]
-  | San.Effect.Opaque { oname; _ } ->
-      unportable act (Printf.sprintf "opaque effect %S" oname)
 
 let dist_json d =
   let kind k fields = J.Obj (("kind", J.Str k) :: fields) in
@@ -162,11 +100,9 @@ let dist_json d =
   | San.Activity.DNormal (a, b) ->
       kind "normal" [ ("mean", rexpr_json a); ("stddev", rexpr_json b) ]
 
-let timing_json ~act = function
+let timing_json = function
   | San.Activity.Instantaneous -> J.Obj [ ("type", J.Str "instantaneous") ]
-  | San.Activity.Timed { dist_ir = None; _ } ->
-      unportable act "closure-only timing distribution"
-  | San.Activity.Timed { dist_ir = Some d; policy; _ } ->
+  | San.Activity.Timed { dist; policy } ->
       J.Obj
         [
           ("type", J.Str "timed");
@@ -175,29 +111,18 @@ let timing_json ~act = function
               (match policy with
               | San.Activity.Resample -> "resample"
               | San.Activity.Keep -> "keep") );
-          ("dist", dist_json d);
+          ("dist", dist_json dist);
         ]
 
 let activity_json (a : San.Activity.t) =
-  let act = a.name in
-  let guard =
-    match a.guard with
-    | Some g -> cond_json g
-    | None -> unportable act "closure enabling predicate"
-  in
   let case_json (c : San.Activity.case) =
-    let w =
-      match c.weight_ir with
-      | Some r -> rexpr_json r
-      | None -> unportable act "closure case weight"
-    in
-    J.Obj [ ("weight", w); ("effect", effect_json ~act c.effect) ]
+    J.Obj [ ("weight", rexpr_json c.weight); ("effect", effect_json c.effect) ]
   in
   J.Obj
     [
-      ("name", J.Str act);
-      ("timing", timing_json ~act a.timing);
-      ("guard", guard);
+      ("name", J.Str a.name);
+      ("timing", timing_json a.timing);
+      ("guard", cond_json a.guard);
       ( "reads",
         J.Arr (List.map (fun p -> J.Str (San.Place.any_name p)) a.reads) );
       ("cases", J.Arr (Array.to_list (Array.map case_json a.cases)));
@@ -264,7 +189,6 @@ let rec info_json (n : Compose.info) =
     @ [ ("children", J.Arr (List.map info_json n.children)) ])
 
 let to_json ?(bounds = []) ?composition ?(annotations = []) model =
-  check_portable model;
   List.iter
     (fun (n, _) ->
       match San.Model.find_place_opt model n with
@@ -438,9 +362,10 @@ let p_op places at j =
       if t = "fset" then San.Effect.FSet (p, e) else San.Effect.FInc (p, e)
   | j -> fail at "cannot parse marking op %s" (short j)
 
-(* [{"checked": E}] parses to the bare IR: the reference closure cannot
-   be reconstructed from disk, so a reloaded model re-emits the inner
-   effect without the tag (and diagnostic A016 has nothing to replay). *)
+(* [{"checked": E}] parses to the bare IR [E]. Earlier itua-model/1
+   writers emitted that tag around an IR term paired with a reference
+   closure; the closure never reached the file, and a reloaded model
+   re-emits the inner effect without the tag. *)
 let rec p_effect places at j =
   match j with
   | J.Str "skip" -> San.Effect.Skip
@@ -506,8 +431,7 @@ let p_timing places at j =
       in
       let dat = key at "dist" in
       let d = p_dist places dat (get_obj dat (field at kvs "dist")) in
-      San.Activity.Timed
-        { dist = San.Activity.dist_fn d; policy; dist_ir = Some d }
+      San.Activity.Timed { dist = d; policy }
   | s -> fail (key at "type") "unknown timing type %S" s
 
 let p_place b places bounds at j =
@@ -556,10 +480,10 @@ let p_activity b places at j =
         let ckvs = get_obj cat c in
         let w = p_rexpr places (key cat "weight") (field cat ckvs "weight") in
         let eff = p_effect places (key cat "effect") (field cat ckvs "effect") in
-        San.Activity.make_case ~weight_ir:w eff)
+        San.Activity.make_case ~weight:w eff)
       (get_arr cat (field at kvs "cases"))
   in
-  try San.Model.Builder.activity_ir b ~name ~timing ~guard ~reads cases
+  try San.Model.Builder.activity b ~name ~timing ~guard ~reads cases
   with Invalid_argument msg -> fail at "%s" msg
 
 let p_composition model places at j =

@@ -1,13 +1,13 @@
 (** Versioned on-disk model format ([itua-model/1]) and structural diff.
 
-    The declarative effect IR ({!San.Effect}) made effects comparable
-    data; this module completes the round trip: a {!San.Model.t} whose
-    guards, timing distributions, case weights, and effects are all
-    declarative serializes to a versioned, {e deterministic} JSON
-    document over {!Report.Json} — equal models always produce equal
-    bytes — and parses back to a model that simulates bit-identically
-    (same trajectories under the same seeds) and analyses identically
-    (same A001–A016 diagnostics and invariant certificates).
+    Every {!San.Model.t} is data: guards, timing distributions, case
+    weights and effects are all declarative IR ({!San.Effect},
+    {!San.Activity.dist_ir}). This module completes the round trip: a
+    model serializes to a versioned, {e deterministic} JSON document
+    over {!Report.Json} — equal models always produce equal bytes — and
+    parses back to a model that simulates bit-identically (same
+    trajectories under the same seeds) and analyses identically (same
+    diagnostics and invariant certificates).
 
     The full specification of the format lives in [doc/FORMAT.md].
     Highlights the caller must know:
@@ -16,14 +16,9 @@
     {- Places serialize in uid (creation) order, so the rebuilt model
        assigns identical uids and indices — journal order, dependents,
        and therefore trajectories are preserved exactly.}
-    {- {!San.Effect.Opaque} effects, closure enabling predicates,
-       closure timing distributions, and closure case weights are
-       {e not} portable: {!to_json} raises {!Unportable} naming the
-       offending activity. Build with the [*_rate_ir]/[timed_dist_ir]
-       entry points of {!San.Model.Builder} to stay portable.}
-    {- [Checked] effects serialize as their IR under a ["checked"] tag;
-       the reference closure is dropped, so diagnostic A016 cannot run
-       on a reloaded model (documented caveat).}
+    {- An effect written as [{"checked": E}] by earlier writers is
+       accepted on read and parses to the bare IR [E]; the tag is never
+       emitted.}
     {- The format reserves an optional per-place ["bound"] (declared
        capacity, informational — e.g. from a structural certificate);
        it round-trips through {!loaded.bounds} without affecting the
@@ -31,14 +26,6 @@
 
 val schema : string
 (** ["itua-model/1"]. *)
-
-exception Unportable of string
-(** Raised by {!to_json}/{!emit} when the model contains a closure
-    (opaque effect, closure guard/distribution/weight) that cannot be
-    represented in the format. The message aggregates {e every}
-    offending activity with all of its reasons (guard, timing, case
-    weights, opaque effects by name), so one round trip surfaces the
-    full porting worklist rather than the first blocker. *)
 
 val to_json :
   ?bounds:(string * int) list ->
@@ -49,8 +36,7 @@ val to_json :
 (** Serialize a model. [bounds] attaches declared capacities to int
     places by name; [composition] embeds the Replicate/Join tree;
     [annotations] is an opaque key/value envelope section (e.g. the
-    ITUA parameter block) passed through verbatim.
-    Raises {!Unportable}. *)
+    ITUA parameter block) passed through verbatim. *)
 
 val emit :
   ?bounds:(string * int) list ->
@@ -59,7 +45,7 @@ val emit :
   San.Model.t ->
   string
 (** [Report.Json.to_string] of {!to_json}: compact, single-line,
-    deterministic. Raises {!Unportable}. *)
+    deterministic. *)
 
 type loaded = {
   model : San.Model.t;

@@ -3,12 +3,12 @@ type two_state = { ts_model : San.Model.t; up : San.Place.t }
 let two_state ~lambda ~mu =
   let b = San.Model.Builder.create "two_state" in
   let up = San.Model.Builder.int_place b ~init:1 "up" in
-  San.Model.Builder.timed_exp_rate_ir b ~name:"fail"
+  San.Model.Builder.timed_exp b ~name:"fail"
     ~rate:(San.Effect.RConst lambda)
     ~guard:San.Effect.(Cmp (Mark up, Eq, Int 1))
     ~reads:[ San.Place.P up ]
     San.Effect.(Ops [ Set (up, Int 0) ]);
-  San.Model.Builder.timed_exp_rate_ir b ~name:"repair"
+  San.Model.Builder.timed_exp b ~name:"repair"
     ~rate:(San.Effect.RConst mu)
     ~guard:San.Effect.(Cmp (Mark up, Eq, Int 0))
     ~reads:[ San.Place.P up ]
@@ -24,12 +24,12 @@ type queue = { q_model : San.Model.t; q_len : San.Place.t }
 let mm1k ~lambda ~mu ~k =
   let b = San.Model.Builder.create "mm1k" in
   let q_len = San.Model.Builder.int_place b "customers" in
-  San.Model.Builder.timed_exp_rate_ir b ~name:"arrive"
+  San.Model.Builder.timed_exp b ~name:"arrive"
     ~rate:(San.Effect.RConst lambda)
     ~guard:San.Effect.(Cmp (Mark q_len, Lt, Int k))
     ~reads:[ San.Place.P q_len ]
     San.Effect.(Ops [ Inc (q_len, Int 1) ]);
-  San.Model.Builder.timed_exp_rate_ir b ~name:"serve"
+  San.Model.Builder.timed_exp b ~name:"serve"
     ~rate:(San.Effect.RConst mu)
     ~guard:San.Effect.(Cmp (Mark q_len, Gt, Int 0))
     ~reads:[ San.Place.P q_len ]
@@ -47,12 +47,12 @@ type tandem = { td_model : San.Model.t; stage : San.Place.t }
 let tandem ~r1 ~r2 =
   let b = San.Model.Builder.create "tandem" in
   let stage = San.Model.Builder.int_place b "stage" in
-  San.Model.Builder.timed_exp_rate_ir b ~name:"step1"
+  San.Model.Builder.timed_exp b ~name:"step1"
     ~rate:(San.Effect.RConst r1)
     ~guard:San.Effect.(Cmp (Mark stage, Eq, Int 0))
     ~reads:[ San.Place.P stage ]
     San.Effect.(Ops [ Set (stage, Int 1) ]);
-  San.Model.Builder.timed_exp_rate_ir b ~name:"step2"
+  San.Model.Builder.timed_exp b ~name:"step2"
     ~rate:(San.Effect.RConst r2)
     ~guard:San.Effect.(Cmp (Mark stage, Eq, Int 1))
     ~reads:[ San.Place.P stage ]
@@ -92,7 +92,7 @@ let gong () =
   let g_state = San.Model.Builder.int_place b "state" in
   List.iter
     (fun (src, dst, rate, label) ->
-      San.Model.Builder.timed_exp_rate_ir b ~name:label
+      San.Model.Builder.timed_exp b ~name:label
         ~rate:(San.Effect.RConst rate)
         ~guard:San.Effect.(Cmp (Mark g_state, Eq, Int src))
         ~reads:[ San.Place.P g_state ]

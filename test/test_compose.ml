@@ -51,11 +51,9 @@ let test_sharing_by_capture () =
         ignore i;
         let started = Compose.Ctx.int_place ctx ~init:1 "pending" in
         Compose.Ctx.instantaneous ctx ~name:"go"
-          ~enabled:(fun m -> San.Marking.get m started = 1)
+          ~guard:San.Effect.(Cmp (Mark started, Eq, Int 1))
           ~reads:[ San.Place.P started ]
-          (fun _ m ->
-            San.Marking.set m started 0;
-            San.Marking.add m shared 1))
+          San.Effect.(Ops [ Set (started, Int 0); Inc (shared, Int 1) ]))
   in
   let model = San.Model.Builder.build b in
   let cfg = Sim.Executor.config ~horizon:1.0 () in

@@ -2,8 +2,6 @@
    markings), uniformization against closed forms, steady state, reward
    measures, and cross-validation against the simulator. *)
 
-let stream seed = Prng.Stream.create ~seed:(Int64.of_int seed)
-
 let close ?(tol = 1e-8) msg expected actual =
   if Float.abs (expected -. actual) > tol then
     Alcotest.failf "%s: expected %.10g, got %.10g (tol %g)" msg expected actual
@@ -53,11 +51,11 @@ let test_non_markovian_rejected () =
   let b = San.Model.Builder.create "det" in
   let p = San.Model.Builder.int_place b "p" in
   San.Model.Builder.timed b ~name:"d"
-    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
-    ~enabled:(fun m -> San.Marking.get m p = 0)
+    ~dist:(San.Activity.DDet (San.Effect.RConst 1.0))
+    ~guard:San.Effect.(Cmp (Mark p, Eq, Int 0))
     ~reads:[ San.Place.P p ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (p, San.Effect.Int 1) ]);
     ];
   let model = San.Model.Builder.build b in
@@ -71,10 +69,10 @@ let test_state_limit () =
   let b = San.Model.Builder.create "birth" in
   let p = San.Model.Builder.int_place b "n" in
   San.Model.Builder.timed_exp b ~name:"birth"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun _ -> true)
+    ~rate:(San.Effect.RConst 1.0)
+    ~guard:(San.Effect.Const true)
     ~reads:[ San.Place.P p ]
-    (fun _ m -> San.Marking.add m p 1);
+    San.Effect.(Ops [ Inc (p, Int 1) ]);
   let model = San.Model.Builder.build b in
   Alcotest.(check bool) "raises Too_many_states" true
     (match Ctmc.Explore.explore ~max_states:100 model with
@@ -86,9 +84,9 @@ let test_vanishing_loop_detected () =
   let b = San.Model.Builder.create "vloop" in
   let p = San.Model.Builder.int_place b ~init:1 "p" in
   San.Model.Builder.instantaneous b ~name:"spin"
-    ~enabled:(fun m -> San.Marking.get m p = 1)
+    ~guard:San.Effect.(Cmp (Mark p, Eq, Int 1))
     ~reads:[ San.Place.P p ]
-    (fun _ m -> San.Marking.set m p 1);
+    San.Effect.(Ops [ Set (p, Int 1) ]);
   let model = San.Model.Builder.build b in
   Alcotest.(check bool) "raises Vanishing_loop" true
     (match Ctmc.Explore.explore model with
@@ -103,18 +101,18 @@ let branching_model () =
   let fired = San.Model.Builder.int_place b "fired" in
   let sort = San.Model.Builder.int_place b "sort" in
   San.Model.Builder.timed_exp b ~name:"pulse"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> San.Marking.get m fired = 0)
+    ~rate:(San.Effect.RConst 1.0)
+    ~guard:San.Effect.(Cmp (Mark fired, Eq, Int 0))
     ~reads:[ San.Place.P fired ]
-    (fun _ m -> San.Marking.set m fired 1);
+    San.Effect.(Ops [ Set (fired, Int 1) ]);
   San.Model.Builder.activity b ~name:"classify"
     ~timing:San.Activity.Instantaneous
-    ~enabled:(fun m -> San.Marking.get m fired = 1 && San.Marking.get m sort = 0)
+    ~guard:San.Effect.(All [ Cmp (Mark fired, Eq, Int 1); Cmp (Mark sort, Eq, Int 0) ])
     ~reads:[ San.Place.P fired; San.Place.P sort ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 0.25)
+      San.Activity.make_case ~weight:(San.Effect.RConst 0.25)
         (San.Effect.Ops [ San.Effect.Set (sort, San.Effect.Int 1) ]);
-      San.Activity.make_case ~weight:(fun _ -> 0.75)
+      San.Activity.make_case ~weight:(San.Effect.RConst 0.75)
         (San.Effect.Ops [ San.Effect.Set (sort, San.Effect.Int 2) ]);
     ];
   (San.Model.Builder.build b, sort)
@@ -303,10 +301,10 @@ let test_mtta_repairable_detour () =
   let st = San.Model.Builder.int_place bld "st" in
   let move name rate src dst =
     San.Model.Builder.timed_exp bld ~name
-      ~rate:(fun _ -> rate)
-      ~enabled:(fun m -> San.Marking.get m st = src)
+      ~rate:(San.Effect.RConst rate)
+      ~guard:San.Effect.(Cmp (Mark st, Eq, Int src))
       ~reads:[ San.Place.P st ]
-      (fun _ m -> San.Marking.set m st dst)
+      San.Effect.(Ops [ Set (st, Int dst) ])
   in
   move "go" a 0 1;
   move "back" b 1 0;
@@ -321,15 +319,15 @@ let test_absorption_probabilities () =
   let bld = San.Model.Builder.create "race" in
   let st = San.Model.Builder.int_place bld ~init:1 "st" in
   San.Model.Builder.timed_exp bld ~name:"left"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> San.Marking.get m st = 1)
+    ~rate:(San.Effect.RConst 1.0)
+    ~guard:San.Effect.(Cmp (Mark st, Eq, Int 1))
     ~reads:[ San.Place.P st ]
-    (fun _ m -> San.Marking.set m st 0);
+    San.Effect.(Ops [ Set (st, Int 0) ]);
   San.Model.Builder.timed_exp bld ~name:"right"
-    ~rate:(fun _ -> 3.0)
-    ~enabled:(fun m -> San.Marking.get m st = 1)
+    ~rate:(San.Effect.RConst 3.0)
+    ~guard:San.Effect.(Cmp (Mark st, Eq, Int 1))
     ~reads:[ San.Place.P st ]
-    (fun _ m -> San.Marking.set m st 2);
+    San.Effect.(Ops [ Set (st, Int 2) ]);
   let model = San.Model.Builder.build bld in
   let c = Ctmc.Explore.explore model in
   let value_of i =
@@ -446,31 +444,6 @@ let prop_random_queue_sim_matches_ctmc =
           "lambda=%.2f mu=%.2f k=%d t=%.2f: exact %.4f, sim %.4f (err %.4f,            sem %.4f)"
           lambda mu k t exact r.Sim.Runner.ci.Stats.Ci.mean err sem)
 
-let test_stream_sampling_effect_rejected () =
-  (* An effect that consumes randomness cannot be explored analytically. *)
-  let b = San.Model.Builder.create "rngeff" in
-  let p = San.Model.Builder.int_place b "p" in
-  San.Model.Builder.timed_exp b ~name:"draw"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> San.Marking.get m p = 0)
-    ~reads:[ San.Place.P p ]
-    (fun ctx m ->
-      let s = San.Activity.stream_exn ctx in
-      San.Marking.set m p (1 + Prng.Stream.int s 3));
-  let model = San.Model.Builder.build b in
-  Alcotest.(check bool) "raises" true
-    (match Ctmc.Explore.explore model with
-    | (_ : Ctmc.Explore.t) -> false
-    | exception Failure _ -> true);
-  (* ... but simulates fine. *)
-  let cfg = Sim.Executor.config ~horizon:10.0 () in
-  let outcome =
-    Sim.Executor.run ~model ~config:cfg ~stream:(stream 3)
-      ~observer:Sim.Observer.nop ()
-  in
-  Alcotest.(check bool) "simulated" true
-    (San.Marking.get outcome.Sim.Executor.final p >= 1)
-
 (* --- symmetry-driven lumping --- *)
 
 (* [n] exchangeable two-state machines composed with Compose.replicate:
@@ -482,15 +455,15 @@ let replicated_farm n =
     Compose.replicate root "node" ~n (fun ctx _ ->
         let up = Compose.Ctx.int_place ctx ~init:1 "up" in
         Compose.Ctx.timed_exp ctx ~name:"fail"
-          ~rate:(fun _ -> 1.0)
-          ~enabled:(fun m -> San.Marking.get m up = 1)
+          ~rate:(San.Effect.RConst 1.0)
+          ~guard:San.Effect.(Cmp (Mark up, Eq, Int 1))
           ~reads:[ San.Place.P up ]
-          (fun _ m -> San.Marking.set m up 0);
+          San.Effect.(Ops [ Set (up, Int 0) ]);
         Compose.Ctx.timed_exp ctx ~name:"repair"
-          ~rate:(fun _ -> 2.5)
-          ~enabled:(fun m -> San.Marking.get m up = 0)
+          ~rate:(San.Effect.RConst 2.5)
+          ~guard:San.Effect.(Cmp (Mark up, Eq, Int 0))
           ~reads:[ San.Place.P up ]
-          (fun _ m -> San.Marking.set m up 1);
+          San.Effect.(Ops [ Set (up, Int 1) ]);
         up)
   in
   (San.Model.Builder.build b, Compose.info root, ups)
@@ -551,12 +524,12 @@ let ir_farm ?(rates = fun _ -> 1.0) ?note n =
         | None -> ()
         | Some f -> Compose.Ctx.note ctx "fail_rate" (f i));
         let up = Compose.Ctx.int_place ctx ~init:1 "up" in
-        Compose.Ctx.timed_exp_rate_ir ctx ~name:"fail"
+        Compose.Ctx.timed_exp ctx ~name:"fail"
           ~rate:(E.RConst (rates i))
           ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 1))
           ~reads:[ San.Place.P up ]
           (E.Ops [ E.Set (up, E.Int 0) ]);
-        Compose.Ctx.timed_exp_rate_ir ctx ~name:"repair" ~rate:(E.RConst 2.5)
+        Compose.Ctx.timed_exp ctx ~name:"repair" ~rate:(E.RConst 2.5)
           ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 0))
           ~reads:[ San.Place.P up ]
           (E.Ops [ E.Set (up, E.Int 1) ]);
@@ -568,7 +541,6 @@ let test_orbit_full_symmetry () =
   let n = 6 in
   let model, info, ups = ir_farm n in
   let rep = Analysis.Orbit.analyse model info in
-  Alcotest.(check bool) "pure" true rep.Analysis.Orbit.pure;
   (match rep.Analysis.Orbit.families with
   | [ f ] ->
       Alcotest.(check int) "one orbit" 1 (List.length f.Analysis.Orbit.fa_orbits);
@@ -675,15 +647,6 @@ let test_orbit_params_split () =
       | os -> Alcotest.failf "expected two orbits, got %d" (List.length os))
   | fs -> Alcotest.failf "expected one family, got %d" (List.length fs)
 
-let test_orbit_impure_degrades () =
-  (* Closure-built copies cannot be verified: singleton orbits, honest
-     blockers, identity canon. *)
-  let model, info, _ = replicated_farm 3 in
-  let rep = Analysis.Orbit.analyse model info in
-  Alcotest.(check bool) "not pure" false rep.Analysis.Orbit.pure;
-  Alcotest.(check bool) "has blockers" true (rep.Analysis.Orbit.blockers <> []);
-  Alcotest.(check bool) "trivial" true (Analysis.Orbit.trivial rep)
-
 let test_symmetry_join_of_replicate () =
   (* Two Rep families under the branches of a Join: detection must keep
      them separate — one group per family, each lumpable on its own. *)
@@ -693,7 +656,7 @@ let test_symmetry_join_of_replicate () =
   let farm ctx label n =
     Compose.replicate ctx label ~n (fun ctx _ ->
         let up = Compose.Ctx.int_place ctx ~init:1 "up" in
-        Compose.Ctx.timed_exp_rate_ir ctx ~name:"toggle" ~rate:(E.RConst 1.0)
+        Compose.Ctx.timed_exp ctx ~name:"toggle" ~rate:(E.RConst 1.0)
           ~guard:(E.Cmp (E.Mark up, E.Ge, E.Int 0))
           ~reads:[ San.Place.P up ]
           (E.Ops [ E.Set (up, E.Sub (E.Int 1, E.Mark up)) ]))
@@ -708,7 +671,6 @@ let test_symmetry_join_of_replicate () =
        (List.map (fun g -> g.Analysis.Symmetry.copies) groups));
   (* The orbit pass agrees: both families are single full orbits. *)
   let rep = Analysis.Orbit.analyse model info in
-  Alcotest.(check bool) "pure" true rep.Analysis.Orbit.pure;
   Alcotest.(check (list int)) "one orbit per family" [ 1; 1 ]
     (List.map
        (fun f -> List.length f.Analysis.Orbit.fa_orbits)
@@ -733,11 +695,11 @@ let test_symmetry_nested_replicate () =
         Compose.replicate ctx "host" ~n:3 (fun ctx _ ->
             let up = Compose.Ctx.int_place ctx ~init:1 "up" in
             ups := up :: !ups;
-            Compose.Ctx.timed_exp_rate_ir ctx ~name:"fail" ~rate:(E.RConst 1.0)
+            Compose.Ctx.timed_exp ctx ~name:"fail" ~rate:(E.RConst 1.0)
               ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 1))
               ~reads:[ San.Place.P up ]
               (E.Ops [ E.Set (up, E.Int 0) ]);
-            Compose.Ctx.timed_exp_rate_ir ctx ~name:"repair"
+            Compose.Ctx.timed_exp ctx ~name:"repair"
               ~rate:(E.RConst 2.5)
               ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 0))
               ~reads:[ San.Place.P up ]
@@ -751,7 +713,6 @@ let test_symmetry_nested_replicate () =
     (List.sort compare
        (List.map (fun g -> g.Analysis.Symmetry.copies) groups));
   let rep = Analysis.Orbit.analyse model info in
-  Alcotest.(check bool) "pure" true rep.Analysis.Orbit.pure;
   Alcotest.(check (list int)) "full orbits everywhere" [ 1; 1; 1 ]
     (List.map
        (fun f -> List.length f.Analysis.Orbit.fa_orbits)
@@ -812,10 +773,10 @@ let test_symmetry_detect_rejects_asymmetry () =
     Compose.replicate root "node" ~n:3 (fun ctx i ->
         let up = Compose.Ctx.int_place ctx ~init:(if i = 0 then 0 else 1) "up" in
         Compose.Ctx.timed_exp ctx ~name:"toggle"
-          ~rate:(fun _ -> 1.0)
-          ~enabled:(fun _ -> true)
+          ~rate:(San.Effect.RConst 1.0)
+          ~guard:(San.Effect.Const true)
           ~reads:[ San.Place.P up ]
-          (fun _ m -> San.Marking.set m up (1 - San.Marking.get m up)))
+          San.Effect.(Ops [ Set (up, Sub (Int 1, Mark up)) ]))
   in
   let model = San.Model.Builder.build b in
   Alcotest.(check int) "no exchangeable groups" 0
@@ -1139,8 +1100,6 @@ let () =
             test_vanishing_loop_detected;
           Alcotest.test_case "vanishing branching" `Quick
             test_vanishing_branching;
-          Alcotest.test_case "sampling effect rejected" `Quick
-            test_stream_sampling_effect_rejected;
         ] );
       ( "lumping",
         [
@@ -1154,8 +1113,6 @@ let () =
             test_orbit_partial_symmetry;
           Alcotest.test_case "orbit: params split" `Quick
             test_orbit_params_split;
-          Alcotest.test_case "orbit: impure degrades" `Quick
-            test_orbit_impure_degrades;
           Alcotest.test_case "join of replicate" `Quick
             test_symmetry_join_of_replicate;
           Alcotest.test_case "nested replicate" `Quick

@@ -1,8 +1,8 @@
 (* Tests for the effect IR: interpreter semantics, static read/write
-   extraction, the compiled flat-array executor path (pinned
-   bit-identical against the interpreted path), the exact A013-A016
-   diagnostics (one deliberately broken fixture per code), exact-law
-   span skipping, and Rat normalization edge cases. *)
+   extraction, the compiled flat-array program (pinned bit-identical
+   against the interpreter), the exact A013-A015 diagnostics (one
+   deliberately broken fixture per code), exact-law span skipping, and
+   Rat normalization edge cases. *)
 
 module B = San.Model.Builder
 module M = San.Marking
@@ -36,7 +36,7 @@ let marking b =
 
 let test_eval_holds () =
   let b, p, q = two_places () in
-  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
+  B.instantaneous b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
   let _, m = marking b in
   Alcotest.(check int) "arith" 7 (E.eval m E.(Add (Mark p, Mul (Int 2, Int 2))));
   Alcotest.(check int) "sub" 3 (E.eval m E.(Sub (Mark p, Mark q)));
@@ -50,7 +50,7 @@ let test_eval_holds () =
 
 let test_apply_ops_order () =
   let b, p, q = two_places () in
-  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
+  B.instantaneous b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
   let _, m = marking b in
   (* Ops run in order: the Inc sees the Set's value. *)
   E.apply E.null_ctx
@@ -60,7 +60,7 @@ let test_apply_ops_order () =
 
 let test_outcomes_pick () =
   let b, p, _ = two_places () in
-  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
+  B.instantaneous b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
   let _, m = marking b in
   let outs =
     E.outcomes
@@ -82,21 +82,23 @@ let test_outcomes_pick () =
 
 let test_static_reads_writes () =
   let b, p, q = two_places () in
-  B.instantaneous_ir b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
+  B.instantaneous b ~name:"noop" ~guard:(E.Const false) ~reads:[] E.Skip;
   let _, _ = marking b in
   let eff = E.(Ops [ Inc (p, Mark q) ]) in
-  Alcotest.(check (option (list int)))
+  Alcotest.(check (list int))
     "inc reads its target and the expression"
-    (Some (List.sort compare [ San.Place.uid p; San.Place.uid q ]))
+    (List.sort compare [ San.Place.uid p; San.Place.uid q ])
     (E.static_reads eff);
-  Alcotest.(check (option (list int)))
-    "writes" (Some [ San.Place.uid p ]) (E.static_writes eff);
-  let opaque = E.(Seq [ eff; Opaque { oname = "x"; run = (fun _ _ -> ()) } ]) in
-  Alcotest.(check (option (list int))) "opaque reads" None
-    (E.static_reads opaque);
-  Alcotest.(check bool) "is_pure" false (E.is_pure opaque)
+  Alcotest.(check (list int)) "writes" [ San.Place.uid p ]
+    (E.static_writes eff);
+  (* Branch conditions are reads, never writes. *)
+  let branchy = E.(If (Cmp (Mark q, Gt, Int 0), Ops [ Set (p, Int 1) ], Skip)) in
+  Alcotest.(check (list int)) "guard reads"
+    [ San.Place.uid q ] (E.static_reads branchy);
+  Alcotest.(check (list int)) "guarded writes"
+    [ San.Place.uid p ] (E.static_writes branchy)
 
-(* --- compiled vs interpreted executor paths, bit-identical --- *)
+(* --- compiled program vs interpreter, bit-identical --- *)
 
 (* A model that exercises every IR feature the compiler touches:
    marking-dependent branches, Picks (stream draws), case weights and
@@ -106,8 +108,8 @@ let branching_model () =
   let p = B.int_place b ~init:5 "p" in
   let q = B.int_place b "q" in
   let acc = B.float_place b "acc" in
-  B.timed_exp_cases_ir b ~name:"churn"
-    ~rate:(fun m -> 1.0 +. (0.1 *. float_of_int (M.get m p)))
+  B.timed_exp_cases b ~name:"churn"
+    ~rate:E.(RExpr (FAdd (Flt 1.0, FMul (Flt 0.1, OfInt (Mark p)))))
     ~guard:E.(Cmp (Mark p, Gt, Int 0))
     ~reads:[ San.Place.P p; San.Place.P q ]
     [
@@ -129,53 +131,84 @@ let branching_model () =
               (Const true, Ops [ Inc (q, Int 2) ]);
             ]) );
     ];
-  B.timed_exp_ir b ~name:"refill"
-    ~rate:(fun _ -> 0.7)
+  B.timed_exp b ~name:"refill"
+    ~rate:(E.RConst 0.7)
     ~guard:E.(Cmp (Mark p, Lt, Int 5))
     ~reads:[ San.Place.P p ]
     E.(Ops [ Inc (p, Int 1) ]);
   B.build b
 
-let trajectory ~compile model =
-  let events = ref [] in
-  let observer =
-    {
-      Sim.Observer.nop with
-      on_fire =
-        (fun t a case m ->
-          events :=
-            (t, a.San.Activity.name, case, M.int_snapshot m,
-             M.float_snapshot m)
-            :: !events);
-    }
-  in
-  let config =
-    Sim.Executor.config ~compile_effects:compile ~horizon:50.0 ()
-  in
-  let out =
-    Sim.Executor.run ~model ~config
-      ~stream:(Prng.Stream.create ~seed:42L)
-      ~observer ()
-  in
-  (List.rev !events, out.Sim.Executor.events, out.Sim.Executor.final)
+(* The executor runs [Effect.run_prog] on the compiled program;
+   [Effect.apply] on the source term is the reference. Differential over
+   every (activity, case, marking) of a model's check space where the
+   activity is enabled: both run on copies of the marking from
+   same-seeded streams and must leave equal markings, raise the same
+   exception (messages name the raising function, so only the
+   constructor is compared), and consume the stream identically (the
+   next draws agree). *)
+let check_prog_matches_apply model =
+  let space = Analysis.Space.build model in
+  let acts = San.Model.activities model in
+  let runs = ref 0 and picks = ref 0 in
+  List.iteri
+    (fun mi m ->
+      Array.iter
+        (fun (a : San.Activity.t) ->
+          if a.enabled m then
+          Array.iteri
+            (fun case (c : San.Activity.case) ->
+              let seed = (((mi * 8191) + (a.id * 127) + case) * 2) + 1 in
+              let run exec =
+                let mc = M.copy m in
+                let stream = Prng.Stream.of_int_seed seed in
+                let ctx = { E.stream = Some stream } in
+                let result =
+                  match exec ctx mc with
+                  | () -> Ok (M.int_snapshot mc, M.float_snapshot mc)
+                  | exception e -> Error (Printexc.exn_slot_name e)
+                in
+                (result, List.init 3 (fun _ -> Prng.Stream.bits64 stream))
+              in
+              let applied, s_apply = run (fun ctx mc -> E.apply ctx c.effect mc)
+              and compiled, s_prog =
+                run (fun ctx mc -> E.run_prog ctx c.prog mc)
+              in
+              let where =
+                Printf.sprintf "%s case %d, marking %d" a.name case mi
+              in
+              let fresh =
+                let st = Prng.Stream.of_int_seed seed in
+                List.init 3 (fun _ -> Prng.Stream.bits64 st)
+              in
+              incr runs;
+              if s_apply <> fresh then incr picks;
+              if applied <> compiled then
+                Alcotest.failf "%s: run_prog and apply leave different \
+                                markings or raise differently" where;
+              if s_apply <> s_prog then
+                Alcotest.failf "%s: run_prog and apply consume the stream \
+                                differently" where)
+            a.cases)
+        acts)
+    space.Analysis.Space.markings;
+  (!runs, !picks)
 
-let test_compiled_path_bit_identical () =
-  let model = branching_model () in
-  let ev_i, n_i, final_i = trajectory ~compile:false model in
-  let ev_c, n_c, final_c = trajectory ~compile:true model in
-  Alcotest.(check int) "same event count" n_i n_c;
-  Alcotest.(check bool) "some events fired" true (n_i > 10);
-  Alcotest.(check bool) "identical final marking" true
-    (M.equal final_i final_c);
-  List.iter2
-    (fun (t1, a1, c1, s1, f1) (t2, a2, c2, s2, f2) ->
-      Alcotest.(check string) "same activity" a1 a2;
-      Alcotest.(check int) "same case" c1 c2;
-      (* Bit-identical: exact float equality on times and marks. *)
-      Alcotest.(check bool) "same time" true (t1 = t2);
-      Alcotest.(check bool) "same ints" true (s1 = s2);
-      Alcotest.(check bool) "same floats" true (f1 = f2))
-    ev_i ev_c
+let test_prog_matches_apply () =
+  let runs, picks = check_prog_matches_apply (branching_model ()) in
+  Alcotest.(check bool) "branching model exercised" true (runs > 10);
+  Alcotest.(check bool) "some Pick drew from the stream" true (picks > 0);
+  let h =
+    Itua.Model.build
+      {
+        Itua.Params.default with
+        num_domains = 1;
+        hosts_per_domain = 1;
+        num_apps = 1;
+        num_reps = 1;
+      }
+  in
+  let runs, _ = check_prog_matches_apply h.Itua.Model.model in
+  Alcotest.(check bool) "ITUA 1x1x1x1 exercised" true (runs > 1000)
 
 (* --- A013: declared-reads/writes vs IR, exact --- *)
 
@@ -184,8 +217,8 @@ let test_a013_guard_read_undeclared () =
   let gate = B.int_place b ~init:1 "gate" in
   let tokens = B.int_place b ~init:1 "tokens" in
   (* Bug: the guard reads [gate] but declares only [tokens]. *)
-  B.timed_exp_ir b ~name:"tick"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp b ~name:"tick"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(All [ Cmp (Mark gate, Eq, Int 1); Cmp (Mark tokens, Gt, Int 0) ])
     ~reads:[ San.Place.P tokens ]
     E.(Ops [ Inc (tokens, Int (-1)) ]);
@@ -209,46 +242,40 @@ let test_a013_effect_reads_aggregated () =
   let dst = B.int_place b "dst" in
   (* The effect reads src1/src2 without declaring them: one aggregated
      Info, not two warnings. *)
-  B.timed_exp_ir b ~name:"sum"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp b ~name:"sum"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark dst, Eq, Int 0))
     ~reads:[ San.Place.P dst ]
     E.(Ops [ Set (dst, Add (Mark src1, Mark src2)) ]);
   let r = Analysis.Check.run (B.build b) in
-  (match with_code D.ir_mismatch r with
+  match with_code D.ir_mismatch r with
   | [ d ] ->
       Alcotest.(check bool) "info severity" true (d.D.severity = D.Info);
       Alcotest.(check bool) "aggregated count" true
         (message_mentions ~needle:"2 place(s)" d)
-  | ds -> Alcotest.failf "expected one A013 info, got %d" (List.length ds));
-  (* The sampled A001 effect-read warning is subsumed, not duplicated. *)
-  Alcotest.(check (list string)) "no A001 for IR activity" []
-    (List.map
-       (fun d -> d.D.message)
-       (with_code D.undeclared_read r))
+  | ds -> Alcotest.failf "expected one A013 info, got %d" (List.length ds)
 
 let test_a013_stale_wakeup_write () =
   let b = B.create "a013-write" in
   let sem = B.int_place b ~init:1 "sem" in
   let work = B.int_place b ~init:1 "work" in
-  (* IR writer flips [sem]; the closure reader's [enabled] reads [sem]
-     without declaring it, so the write cannot wake it — exact A002. *)
-  B.timed_exp_ir b ~name:"writer"
-    ~rate:(fun _ -> 1.0)
+  (* The writer flips [sem]; the reader's guard reads [sem] without
+     declaring it, so the write cannot wake it. *)
+  B.timed_exp b ~name:"writer"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark work, Gt, Int 0))
     ~reads:[ San.Place.P work ]
     E.(Ops [ Inc (work, Int (-1)); Set (sem, Int 0) ]);
-  B.timed_exp b ~name:"reader"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m sem = 1)
+  B.timed_exp b ~name:"reader" ~rate:(E.RConst 1.0)
+    ~guard:E.(Cmp (Mark sem, Eq, Int 1))
     ~reads:[] (* bug: sem missing *)
-    (fun _ _ -> ());
+    E.Skip;
   let r = Analysis.Check.run (B.build b) in
   let errors =
     List.filter
       (fun d ->
         d.D.severity = D.Error
-        && message_mentions ~needle:"cannot wake" d)
+        && message_mentions ~needle:"effect writes" d)
       (with_code D.ir_mismatch r)
   in
   match errors with
@@ -267,8 +294,8 @@ let test_a013_stale_wakeup_write () =
 let test_a014_dead_branch () =
   let b = B.create "a014" in
   let p = B.int_place b ~init:1 "p" in
-  B.timed_exp_ir b ~name:"tick"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp b ~name:"tick"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark p, Gt, Int 0))
     ~reads:[ San.Place.P p ]
     (* The then-branch is statically unreachable. *)
@@ -288,8 +315,8 @@ let test_a015_negative_capable () =
   let p = B.int_place b "p" in
   let tick = B.int_place b ~init:1 "tick" in
   (* The guard pins p = 0, and the effect decrements it anyway. *)
-  B.timed_exp_ir b ~name:"drain"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp b ~name:"drain"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(All [ Cmp (Mark p, Eq, Int 0); Cmp (Mark tick, Gt, Int 0) ])
     ~reads:[ San.Place.P p; San.Place.P tick ]
     E.(Ops [ Inc (p, Int (-1)) ]);
@@ -302,60 +329,19 @@ let test_a015_negative_capable () =
         (message_mentions ~needle:"guard pins it at 0" d)
   | ds -> Alcotest.failf "expected one A015, got %d" (List.length ds)
 
-(* --- A016: IR / reference-closure divergence --- *)
-
-let test_a016_divergence () =
-  let b = B.create "a016" in
-  let p = B.int_place b "p" in
-  let on = B.int_place b ~init:1 "on" in
-  (* The IR adds 1; the reference closure adds 2. *)
-  B.timed_exp_ir b ~name:"drift"
-    ~rate:(fun _ -> 1.0)
-    ~guard:E.(Cmp (Mark on, Eq, Int 1))
-    ~reads:[ San.Place.P on; San.Place.P p ]
-    (E.Checked
-       {
-         ir = E.(Ops [ Inc (p, Int 1) ]);
-         reference = { E.oname = "add2"; run = (fun _ m -> M.add m p 2) };
-       });
-  let r = Analysis.Check.run (B.build b) in
-  match with_code D.ir_divergence r with
-  | [ d ] ->
-      Alcotest.(check bool) "error severity" true (d.D.severity = D.Error);
-      Alcotest.(check bool) "says markings differ" true
-        (message_mentions ~needle:"markings differ" d)
-  | ds -> Alcotest.failf "expected one A016, got %d" (List.length ds)
-
-let test_a016_agreement_silent () =
-  let b = B.create "a016-ok" in
-  let p = B.int_place b "p" in
-  let on = B.int_place b ~init:1 "on" in
-  B.timed_exp_ir b ~name:"ok"
-    ~rate:(fun _ -> 1.0)
-    ~guard:E.(Cmp (Mark on, Eq, Int 1))
-    ~reads:[ San.Place.P on; San.Place.P p ]
-    (E.Checked
-       {
-         ir = E.(Ops [ Inc (p, Int 1) ]);
-         reference = { E.oname = "add1"; run = (fun _ m -> M.add m p 1) };
-       });
-  let r = Analysis.Check.run (B.build b) in
-  Alcotest.(check (list string)) "no divergence" []
-    (List.map (fun d -> d.D.message) (with_code D.ir_divergence r))
-
 (* --- exact laws: span test skips re-validation --- *)
 
 let test_law_implied_by_basis () =
   let b = B.create "conserved" in
   let here = B.int_place b ~init:1 "here" in
   let there = B.int_place b "there" in
-  B.timed_exp_ir b ~name:"go"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp b ~name:"go"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark here, Gt, Int 0))
     ~reads:[ San.Place.P here; San.Place.P there ]
     E.(Ops [ Inc (here, Int (-1)); Inc (there, Int 1) ]);
-  B.timed_exp_ir b ~name:"back"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp b ~name:"back"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark there, Gt, Int 0))
     ~reads:[ San.Place.P here; San.Place.P there ]
     E.(Ops [ Inc (there, Int (-1)); Inc (here, Int 1) ]);
@@ -364,7 +350,6 @@ let test_law_implied_by_basis () =
   in
   let r = Analysis.Check.run ~laws:[ law ] (B.build b) in
   let s = r.Analysis.Check.structure in
-  Alcotest.(check bool) "exact incidence" true (s.St.incidence = St.Exact);
   (match s.St.laws with
   | [ lr ] ->
       Alcotest.(check string) "skipped re-validation"
@@ -383,8 +368,8 @@ let test_law_proven_symbolically () =
   let x = B.int_place b ~init:2 "x" in
   let y = B.int_place b "y" in
   let mode = B.int_place b ~init:1 "mode" in
-  B.timed_exp_ir b ~name:"shuffle"
-    ~rate:(fun _ -> 1.0)
+  B.timed_exp b ~name:"shuffle"
+    ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark x, Gt, Int 0))
     ~reads:[ San.Place.P x; San.Place.P y; San.Place.P mode ]
     E.(
@@ -466,8 +451,8 @@ let () =
         ] );
       ( "compiled executor",
         [
-          Alcotest.test_case "bit-identical trajectories" `Quick
-            test_compiled_path_bit_identical;
+          Alcotest.test_case "run_prog matches apply" `Quick
+            test_prog_matches_apply;
         ] );
       ( "A013",
         [
@@ -484,12 +469,6 @@ let () =
         [
           Alcotest.test_case "negative-capable delta" `Quick
             test_a015_negative_capable;
-        ] );
-      ( "A016",
-        [
-          Alcotest.test_case "divergence" `Quick test_a016_divergence;
-          Alcotest.test_case "agreement silent" `Quick
-            test_a016_agreement_silent;
         ] );
       ( "exact laws",
         [

@@ -10,8 +10,8 @@ let build_pair () =
 let test_initial_marking () =
   let b, p, q = build_pair () in
   San.Model.Builder.instantaneous b ~name:"noop"
-    ~enabled:(fun _ -> false)
-    ~reads:[] (fun _ _ -> ());
+    ~guard:(San.Effect.Const false)
+    ~reads:[] San.Effect.Skip;
   let model = San.Model.Builder.build b in
   let m = San.Model.initial_marking model in
   Alcotest.(check int) "int init" 2 (San.Marking.get m p);
@@ -21,8 +21,8 @@ let test_initial_marking () =
 let test_marking_journal () =
   let b, p, q = build_pair () in
   San.Model.Builder.instantaneous b ~name:"noop"
-    ~enabled:(fun _ -> false)
-    ~reads:[] (fun _ _ -> ());
+    ~guard:(San.Effect.Const false)
+    ~reads:[] San.Effect.Skip;
   let model = San.Model.Builder.build b in
   let m = San.Model.initial_marking model in
   San.Marking.set m p 2;
@@ -42,8 +42,8 @@ let test_marking_journal () =
 let test_marking_negative_rejected () =
   let b, p, _ = build_pair () in
   San.Model.Builder.instantaneous b ~name:"noop"
-    ~enabled:(fun _ -> false)
-    ~reads:[] (fun _ _ -> ());
+    ~guard:(San.Effect.Const false)
+    ~reads:[] San.Effect.Skip;
   let model = San.Model.Builder.build b in
   let m = San.Model.initial_marking model in
   (match San.Marking.add m p (-2) with
@@ -57,8 +57,8 @@ let test_marking_negative_rejected () =
 let test_marking_copy_independent () =
   let b, p, q = build_pair () in
   San.Model.Builder.instantaneous b ~name:"noop"
-    ~enabled:(fun _ -> false)
-    ~reads:[] (fun _ _ -> ());
+    ~guard:(San.Effect.Const false)
+    ~reads:[] San.Effect.Skip;
   let model = San.Model.Builder.build b in
   let m = San.Model.initial_marking model in
   let m' = San.Marking.copy m in
@@ -81,8 +81,8 @@ let test_builder_duplicate_activity () =
   let b = San.Model.Builder.create "m" in
   let mk () =
     San.Model.Builder.instantaneous b ~name:"a"
-      ~enabled:(fun _ -> false)
-      ~reads:[] (fun _ _ -> ())
+      ~guard:(San.Effect.Const false)
+      ~reads:[] San.Effect.Skip
   in
   mk ();
   Alcotest.(check bool) "duplicate activity rejected" true
@@ -93,7 +93,7 @@ let test_builder_no_cases () =
   Alcotest.(check bool) "zero cases rejected" true
     (match
        San.Model.Builder.activity b ~name:"a" ~timing:San.Activity.Instantaneous
-         ~enabled:(fun _ -> false)
+         ~guard:(San.Effect.Const false)
          ~reads:[] []
      with
     | () -> false
@@ -109,10 +109,10 @@ let test_builder_negative_init () =
 let test_model_queries () =
   let b, p, _q = build_pair () in
   San.Model.Builder.timed_exp b ~name:"tick"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun _ -> true)
+    ~rate:(San.Effect.RConst 1.0)
+    ~guard:(San.Effect.Const true)
     ~reads:[ San.Place.P p ]
-    (fun _ _ -> ());
+    San.Effect.Skip;
   let model = San.Model.Builder.build b in
   Alcotest.(check int) "place count" 2 (San.Model.n_places model);
   Alcotest.(check bool) "find_place" true
@@ -133,8 +133,8 @@ let test_all_exponential_false () =
   let b = San.Model.Builder.create "m" in
   let p = San.Model.Builder.int_place b "x" in
   San.Model.Builder.timed b ~name:"det"
-    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
-    ~enabled:(fun _ -> true)
+    ~dist:(San.Activity.DDet (San.Effect.RConst 1.0))
+    ~guard:(San.Effect.Const true)
     ~reads:[ San.Place.P p ]
     [ San.Activity.make_case San.Effect.Skip ];
   let model = San.Model.Builder.build b in
@@ -153,14 +153,14 @@ let contains ~needle haystack =
 let test_dot_export () =
   let b, p, _ = build_pair () in
   San.Model.Builder.timed_exp b ~name:"tick"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun _ -> true)
+    ~rate:(San.Effect.RConst 1.0)
+    ~guard:(San.Effect.Const true)
     ~reads:[ San.Place.P p ]
-    (fun _ _ -> ());
+    San.Effect.Skip;
   San.Model.Builder.instantaneous b ~name:"instant"
-    ~enabled:(fun _ -> false)
+    ~guard:(San.Effect.Const false)
     ~reads:[ San.Place.P p ]
-    (fun _ _ -> ());
+    San.Effect.Skip;
   let model = San.Model.Builder.build b in
   let dot =
     Format.asprintf "%a" (fun ppf -> San.Dot.to_dot ppf) model

@@ -184,12 +184,12 @@ let malformed =
 let tiny ?(extra = false) ~init () =
   let b = B.create "tiny" in
   let p = B.int_place b ~init "p" in
-  B.timed_exp_rate_ir b ~name:"go" ~rate:(E.RConst 1.0)
+  B.timed_exp b ~name:"go" ~rate:(E.RConst 1.0)
     ~guard:E.(Cmp (Mark p, Gt, Int 0))
     ~reads:[ San.Place.P p ]
     E.(Ops [ Inc (p, Int (-1)) ]);
   if extra then
-    B.timed_exp_rate_ir b ~name:"reset" ~rate:(E.RConst 0.5)
+    B.timed_exp b ~name:"reset" ~rate:(E.RConst 0.5)
       ~guard:E.(Cmp (Mark p, Eq, Int 0))
       ~reads:[ San.Place.P p ]
       E.(Ops [ Set (p, Int init) ]);
@@ -283,67 +283,25 @@ let test_loaded_certificate_identical () =
     (cert ~composition:h.Itua.Model.composition h.Itua.Model.model)
     (cert ~composition:comp l.Serial.model)
 
-(* --- portability gate --- *)
+(* --- the "checked" tag: accepted on read, never written --- *)
 
-let test_unportable_closure () =
-  let b = B.create "closure" in
-  let p = B.int_place b ~init:1 "p" in
-  B.timed_exp b ~name:"opaque_rate"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m p > 0)
-    ~reads:[ San.Place.P p ]
-    (fun _ m -> M.set m p 0);
-  let m = B.build b in
-  match Serial.to_json m with
-  | exception Serial.Unportable msg ->
-      Alcotest.(check bool) "names the offending activity" true
-        (contains msg "opaque_rate")
-  | _ -> Alcotest.fail "expected Unportable for a closure-built activity"
-
-(* Several closure escapes of different kinds must surface in ONE
-   aggregated error naming every offending activity with its reasons —
-   not just the first blocker hit during emission. *)
-let test_unportable_aggregates () =
-  let b = B.create "closures" in
-  let p = B.int_place b ~init:1 "p" in
-  let q = B.int_place b ~init:0 "q" in
-  (* Offender 1: closure rate, closure guard, opaque effect. *)
-  B.timed_exp b ~name:"bad_rate"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> M.get m p > 0)
-    ~reads:[ San.Place.P p ]
-    (fun _ m -> M.set m p 0);
-  (* Offender 2: declarative guard/effect but closure-only timing. *)
-  B.timed_exp_ir b ~name:"bad_timing"
-    ~rate:(fun _ -> 2.0)
-    ~guard:(E.Cmp (E.Mark q, E.Eq, E.Int 0))
-    ~reads:[ San.Place.P q ]
-    (E.Ops [ E.Set (q, E.Int 1) ]);
-  (* Fully declarative — must NOT be blamed. *)
-  B.timed_exp_rate_ir b ~name:"fine"
-    ~rate:(E.RConst 0.5)
-    ~guard:(E.Cmp (E.Mark q, E.Eq, E.Int 1))
-    ~reads:[ San.Place.P q ]
-    (E.Ops [ E.Set (q, E.Int 0) ]);
-  let m = B.build b in
-  match Serial.to_json m with
-  | exception Serial.Unportable msg ->
-      List.iter
-        (fun sub ->
-          Alcotest.(check bool)
-            (Printf.sprintf "message mentions %S" sub)
-            true (contains msg sub))
-        [
-          "2 unportable activities";
-          "bad_rate";
-          "bad_timing";
-          "closure enabling predicate";
-          "opaque effect";
-          "closure-only timing distribution";
-        ];
-      Alcotest.(check bool) "portable activity not blamed" false
-        (contains msg "fine")
-  | _ -> Alcotest.fail "expected aggregated Unportable"
+(* Earlier writers could wrap an effect as {"checked": E}. It parses to
+   the bare IR E, and the reloaded model re-emits E without the tag. *)
+let test_checked_tag_read_only () =
+  let doc checked =
+    let eff = {|{"ops":[["set","p",0]]}|} in
+    envelope {|{"name":"p","kind":"int","init":1}|}
+      (act_with_effect
+         (if checked then Printf.sprintf {|{"checked":%s}|} eff else eff))
+  in
+  match (Serial.parse (doc true), Serial.parse (doc false)) with
+  | Ok tagged, Ok bare ->
+      let emitted = Serial.emit tagged.Serial.model in
+      Alcotest.(check string) "same model as the bare IR"
+        (Serial.emit bare.Serial.model) emitted;
+      Alcotest.(check bool) "tag not re-emitted" false
+        (contains emitted "checked")
+  | Error e, _ | _, Error e -> Alcotest.failf "parse failed: %s" e
 
 let () =
   Alcotest.run "serial"
@@ -385,10 +343,9 @@ let () =
           Alcotest.test_case "analysis certificate" `Quick
             test_loaded_certificate_identical;
         ] );
-      ( "portability",
+      ( "checked tag",
         [
-          Alcotest.test_case "closure rejected" `Quick test_unportable_closure;
-          Alcotest.test_case "all offenders aggregated" `Quick
-            test_unportable_aggregates;
+          Alcotest.test_case "accepted on read only" `Quick
+            test_checked_tag_read_only;
         ] );
     ]

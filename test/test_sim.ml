@@ -66,11 +66,11 @@ let clock_model ~period =
   let b = San.Model.Builder.create "clock" in
   let count = San.Model.Builder.int_place b "count" in
   San.Model.Builder.timed b ~name:"tick"
-    ~dist:(fun _ -> Dist.Deterministic { value = period })
-    ~enabled:(fun _ -> true)
+    ~dist:(San.Activity.DDet (San.Effect.RConst period))
+    ~guard:(San.Effect.Const true)
     ~reads:[]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Inc (count, San.Effect.Int 1) ]);
     ];
   (San.Model.Builder.build b, count)
@@ -109,21 +109,21 @@ let test_instantaneous_chain () =
   let s1 = San.Model.Builder.int_place b "s1" in
   let s2 = San.Model.Builder.int_place b "s2" in
   San.Model.Builder.timed b ~name:"pulse"
-    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
-    ~enabled:(fun m -> San.Marking.get m trigger = 0)
+    ~dist:(San.Activity.DDet (San.Effect.RConst 1.0))
+    ~guard:San.Effect.(Cmp (Mark trigger, Eq, Int 0))
     ~reads:[ San.Place.P trigger ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (trigger, San.Effect.Int 1) ]);
     ];
   San.Model.Builder.instantaneous b ~name:"step1"
-    ~enabled:(fun m -> San.Marking.get m trigger = 1 && San.Marking.get m s1 = 0)
+    ~guard:San.Effect.(All [ Cmp (Mark trigger, Eq, Int 1); Cmp (Mark s1, Eq, Int 0) ])
     ~reads:[ San.Place.P trigger; San.Place.P s1 ]
-    (fun _ m -> San.Marking.set m s1 1);
+    San.Effect.(Ops [ Set (s1, Int 1) ]);
   San.Model.Builder.instantaneous b ~name:"step2"
-    ~enabled:(fun m -> San.Marking.get m s1 = 1 && San.Marking.get m s2 = 0)
+    ~guard:San.Effect.(All [ Cmp (Mark s1, Eq, Int 1); Cmp (Mark s2, Eq, Int 0) ])
     ~reads:[ San.Place.P s1; San.Place.P s2 ]
-    (fun _ m -> San.Marking.set m s2 1);
+    San.Effect.(Ops [ Set (s2, Int 1) ]);
   let model = San.Model.Builder.build b in
   (* Observe that both instantaneous firings happen at exactly t=1. *)
   let inst_times = ref [] in
@@ -146,11 +146,10 @@ let test_stabilization_divergence_detected () =
   let p = San.Model.Builder.int_place b ~init:1 "p" in
   (* Always-enabled instantaneous activity: a modeling bug. *)
   San.Model.Builder.instantaneous b ~name:"spin"
-    ~enabled:(fun m -> San.Marking.get m p = 1)
+    ~guard:San.Effect.(Cmp (Mark p, Eq, Int 1))
     ~reads:[ San.Place.P p ]
-    (fun _ m ->
-      (* Toggle twice: net no change, stays enabled. *)
-      San.Marking.set m p 1);
+    (* A no-op write: net no change, stays enabled. *)
+    San.Effect.(Ops [ Set (p, Int 1) ]);
   let model = San.Model.Builder.build b in
   let cfg = Sim.Executor.config ~max_inst_chain:1000 ~horizon:1.0 () in
   Alcotest.(check bool) "divergence raises" true
@@ -169,19 +168,19 @@ let policy_model ~policy =
   let kick = San.Model.Builder.int_place b "kick" in
   let done_ = San.Model.Builder.int_place b "done" in
   San.Model.Builder.timed b ~name:"kicker"
-    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
-    ~enabled:(fun m -> San.Marking.get m kick = 0)
+    ~dist:(San.Activity.DDet (San.Effect.RConst 1.0))
+    ~guard:San.Effect.(Cmp (Mark kick, Eq, Int 0))
     ~reads:[ San.Place.P kick ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (kick, San.Effect.Int 1) ]);
     ];
   San.Model.Builder.timed b ~name:"slow" ~policy
-    ~dist:(fun _ -> Dist.Deterministic { value = 2.0 })
-    ~enabled:(fun m -> San.Marking.get m done_ = 0)
+    ~dist:(San.Activity.DDet (San.Effect.RConst 2.0))
+    ~guard:San.Effect.(Cmp (Mark done_, Eq, Int 0))
     ~reads:[ San.Place.P kick; San.Place.P done_ ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (done_, San.Effect.Int 1) ]);
     ];
   (San.Model.Builder.build b, done_)
@@ -221,14 +220,14 @@ let test_no_double_scheduling_after_setup () =
   let fires = San.Model.Builder.int_place b "fires" in
   (* Instantaneous setup arms the timed activity at t = 0. *)
   San.Model.Builder.instantaneous b ~name:"arm"
-    ~enabled:(fun m -> San.Marking.get m armed = 0)
+    ~guard:San.Effect.(Cmp (Mark armed, Eq, Int 0))
     ~reads:[ San.Place.P armed ]
-    (fun _ m -> San.Marking.set m armed 1);
+    San.Effect.(Ops [ Set (armed, Int 1) ]);
   San.Model.Builder.timed_exp b ~name:"fire"
-    ~rate:(fun _ -> 1.0)
-    ~enabled:(fun m -> San.Marking.get m armed = 1)
+    ~rate:(San.Effect.RConst 1.0)
+    ~guard:San.Effect.(Cmp (Mark armed, Eq, Int 1))
     ~reads:[ San.Place.P armed; San.Place.P fires ]
-    (fun _ m -> San.Marking.add m fires 1);
+    San.Effect.(Ops [ Inc (fires, Int 1) ]);
   let model = San.Model.Builder.build b in
   (* E[firings in 20h] = 20; with the double-scheduling bug it was 40.
      Average over replications and require a tight band. *)
@@ -253,19 +252,19 @@ let test_disabling_aborts () =
   let blocked = San.Model.Builder.int_place b "blocked" in
   let fired = San.Model.Builder.int_place b "fired" in
   San.Model.Builder.timed b ~name:"blocker"
-    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
-    ~enabled:(fun m -> San.Marking.get m blocked = 0)
+    ~dist:(San.Activity.DDet (San.Effect.RConst 1.0))
+    ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
     ~reads:[ San.Place.P blocked ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (blocked, San.Effect.Int 1) ]);
     ];
   San.Model.Builder.timed b ~name:"victim"
-    ~dist:(fun _ -> Dist.Deterministic { value = 2.0 })
-    ~enabled:(fun m -> San.Marking.get m blocked = 0)
+    ~dist:(San.Activity.DDet (San.Effect.RConst 2.0))
+    ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
     ~reads:[ San.Place.P blocked ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Inc (fired, San.Effect.Int 1) ]);
     ];
   let model = San.Model.Builder.build b in
@@ -461,11 +460,11 @@ let test_erlang_first_passage_distribution () =
   let b = San.Model.Builder.create "erlang_once" in
   let done_ = San.Model.Builder.int_place b "done" in
   San.Model.Builder.timed b ~name:"go" ~policy:San.Activity.Keep
-    ~dist:(fun _ -> dist)
-    ~enabled:(fun m -> San.Marking.get m done_ = 0)
+    ~dist:(San.Activity.DErlang (3, San.Effect.RConst 6.0))
+    ~guard:San.Effect.(Cmp (Mark done_, Eq, Int 0))
     ~reads:[ San.Place.P done_ ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (done_, San.Effect.Int 1) ]);
     ];
   let model = San.Model.Builder.build b in
@@ -719,19 +718,19 @@ let test_metrics_cancellations_and_never_fired () =
   let blocked = San.Model.Builder.int_place b "blocked" in
   let fired = San.Model.Builder.int_place b "fired" in
   San.Model.Builder.timed b ~name:"blocker"
-    ~dist:(fun _ -> Dist.Deterministic { value = 1.0 })
-    ~enabled:(fun m -> San.Marking.get m blocked = 0)
+    ~dist:(San.Activity.DDet (San.Effect.RConst 1.0))
+    ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
     ~reads:[ San.Place.P blocked ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Set (blocked, San.Effect.Int 1) ]);
     ];
   San.Model.Builder.timed b ~name:"victim"
-    ~dist:(fun _ -> Dist.Deterministic { value = 2.0 })
-    ~enabled:(fun m -> San.Marking.get m blocked = 0)
+    ~dist:(San.Activity.DDet (San.Effect.RConst 2.0))
+    ~guard:San.Effect.(Cmp (Mark blocked, Eq, Int 0))
     ~reads:[ San.Place.P blocked ]
     [
-      San.Activity.make_case ~weight:(fun _ -> 1.0)
+      San.Activity.make_case
         (San.Effect.Ops [ San.Effect.Inc (fired, San.Effect.Int 1) ]);
     ];
   let model = San.Model.Builder.build b in

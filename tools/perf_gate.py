@@ -13,8 +13,13 @@ Usage:
     python3 tools/perf_gate.py --baseline bench_baseline.json \
         --fresh BENCH_sim.json [--threshold 0.20]
 
-Exit status: 0 when every matched row is within the threshold,
-1 on a regression, 2 on unusable input.
+The gate fails closed: a baseline row missing from the fresh record,
+or a row whose events/sec is not a positive number, fails it just like
+a regression.
+
+Exit status: 0 when every baseline row is present, numeric and within
+the threshold; 1 on a regression, a missing row or a non-numeric
+events/sec; 2 on unusable input.
 """
 
 import argparse
@@ -56,6 +61,10 @@ def phase_self_times(row):
     return out
 
 
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def print_phases(name, baseline_row, fresh_row):
     base = phase_self_times(baseline_row)
     fresh = phase_self_times(fresh_row)
@@ -89,16 +98,19 @@ def main():
     fresh = load(args.fresh)
 
     failures = []
+    broken = []
     for name in sorted(baseline):
         if name not in fresh:
-            print(f"perf gate: row {name!r} missing from fresh record "
+            print(f"perf gate [FAIL]: row {name!r} missing from fresh record "
                   "(renamed or removed benchmark?)")
+            broken.append(name)
             continue
         b = baseline[name].get("events_per_sec")
         f = fresh[name].get("events_per_sec")
-        if not isinstance(b, (int, float)) or not isinstance(f, (int, float)) \
-                or b <= 0:
-            print(f"perf gate: row {name!r}: non-numeric events/sec, skipped")
+        if not is_number(b) or not is_number(f) or b <= 0:
+            print(f"perf gate [FAIL]: row {name!r}: events/sec not a "
+                  f"positive number ({b!r} -> {f!r})")
+            broken.append(name)
             continue
         drop = (b - f) / b
         status = "FAIL" if drop > args.threshold else "ok"
@@ -109,11 +121,15 @@ def main():
     for name in sorted(set(fresh) - set(baseline)):
         print(f"perf gate: new row {name!r} (no baseline yet, not gated)")
 
+    if broken:
+        print(f"\nperf gate FAILED: {len(broken)} baseline row(s) missing or "
+              f"non-numeric: {', '.join(broken)}")
     if failures:
         print(f"\nperf gate FAILED: {len(failures)} row(s) regressed more "
               f"than {100.0 * args.threshold:.0f}%:")
         for name in failures:
             print_phases(name, baseline[name], fresh[name])
+    if broken or failures:
         sys.exit(1)
     print("perf gate OK")
 
