@@ -373,7 +373,7 @@ type lump_bench = {
 }
 
 (* One lumping run: orbit analysis, unlumped vs orbit-quotient
-   exploration ([~audit:true] cross-checks the canon's soundness on
+   exploration (the explore audit cross-checks the canon's soundness on
    every merged state), and the symmetric measure E[excluded at t=5]
    compared between the two chains. *)
 let run_lumping_case ~label ~n ~rate_of () =
@@ -395,7 +395,7 @@ let run_lumping_case ~label ~n ~rate_of () =
   let full_wall = now () -. t0 in
   let t0 = now () in
   let lumped =
-    Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) ~audit:true model
+    Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) model
   in
   let lumped_at5 = Ctmc.Measure.instant lumped ~at:5.0 excluded in
   let lumped_wall = now () -. t0 in

@@ -971,16 +971,14 @@ let check_cmd =
 
 let mtta_lump_arg =
   Arg.(value
-       & opt (enum [ ("auto", `Auto); ("off", `Off); ("full", `Full) ]) `Off
+       & opt (enum [ ("auto", `Auto); ("off", `Off) ]) `Off
        & info [ "lump" ] ~docv:"MODE"
            ~doc:"State-space lumping before the exact solve. $(b,off) \
                  (default) explores the flat chain. $(b,auto) quotients \
                  by the automorphism orbits the $(b,check --symmetry) \
                  pass certifies — sound for heterogeneous fleets, with \
                  the exploration audit cross-checking every merge \
-                 (raises on an unsound canon). $(b,full) uses the \
-                 whole-family canonical sort, which assumes every \
-                 replicate family is fully exchangeable.")
+                 (raises on an unsound canon).")
 
 let mtta_cmd =
   let run multiplier scale model lump metrics_out =
@@ -998,30 +996,33 @@ let mtta_cmd =
               Format.eprintf "%s@." e;
               exit 2)
     in
-    let canon, audit =
+    let canon =
       match lump with
-      | `Off -> (None, false)
+      | `Off -> None
       | `Auto ->
           let rep =
             Analysis.Orbit.analyse h.Itua.Model.model
               h.Itua.Model.composition
           in
           Format.printf "%s@." (Analysis.Orbit.describe rep);
-          (Some (Analysis.Orbit.canon rep), true)
-      | `Full ->
-          let groups =
-            Analysis.Symmetry.detect h.Itua.Model.model
-              h.Itua.Model.composition
-          in
-          (Some (Analysis.Symmetry.canon groups), false)
+          Some (Analysis.Orbit.canon rep)
     in
     let obs = Option.map (fun _ -> Obs.Registry.create ()) metrics_out in
     let profile = Option.map (fun _ -> Obs.Profile.create ()) metrics_out in
+    let p = h.Itua.Model.params in
     Format.printf
-      "Exact CTMC analysis of the 1-domain/1-host/1-app/1-replica system@.";
-    (match Ctmc.Explore.explore ?canon ~audit ?obs ?profile h.Itua.Model.model
-     with
-    | c ->
+      "Exact CTMC analysis of the %d-domain/%d-host/%d-app/%d-replica system@."
+      p.Itua.Params.num_domains p.Itua.Params.hosts_per_domain
+      p.Itua.Params.num_apps p.Itua.Params.num_reps;
+    let fail fmt =
+      Format.kasprintf
+        (fun msg ->
+          Format.eprintf "%s@." msg;
+          exit 1)
+        fmt
+    in
+    match Ctmc.Explore.explore ?canon ?obs ?profile h.Itua.Model.model with
+    | c -> (
         Format.printf "  states: %d@." (Ctmc.Explore.n_states c);
         Format.printf "  mean time to full degradation: %.4f hours@."
           (Ctmc.Absorb.mean_time_to_absorption ?obs ?profile c);
@@ -1031,18 +1032,21 @@ let mtta_cmd =
               (Ctmc.Measure.ever ?obs ?profile c ~until:t (fun m ->
                    Itua.Model.improper h 0 m)))
           [ 5.0; 10.0; 24.0 ];
-        (match (metrics_out, obs) with
+        match (metrics_out, obs) with
         | Some path, Some reg ->
             Option.iter (fun pr -> Obs.Profile.export pr ~into:reg) profile;
             Obs.Registry.write path reg;
             Format.printf "  [metrics snapshot: %s]@." path
         | _ -> ())
     | exception Ctmc.Explore.Non_markovian msg ->
-        Format.eprintf "model is not Markovian: %s@." msg;
-        exit 1
+        fail "model is not Markovian: %s" msg
     | exception Ctmc.Explore.Unsound_canon msg ->
-        Format.eprintf "lumping audit failed: %s@." msg;
-        exit 1)
+        fail "lumping audit failed: %s" msg
+    | exception Ctmc.Explore.Too_many_states n ->
+        fail "state space too large (limit %d exceeded); exact analysis \
+              needs a smaller configuration" n
+    | exception Invalid_argument msg ->
+        fail "exact analysis failed: %s" msg
   in
   Cmd.v
     (Cmd.info "mtta"

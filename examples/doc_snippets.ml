@@ -178,15 +178,6 @@ let _analysis_certificate () =
   Format.printf "%a@." Analysis.Structure.pp report.Analysis.Check.structure;
   exit (Analysis.Check.exit_code report)
 
-let _analysis_lumping ~model ~root () =
-  let groups = Analysis.Symmetry.detect model (Compose.info root) in
-  let full = Ctmc.Explore.explore model in
-  let lumped =
-    Ctmc.Explore.explore ~canon:(Analysis.Symmetry.canon groups) model
-  in
-  Format.printf "%d -> %d states@." (Ctmc.Explore.n_states full)
-    (Ctmc.Explore.n_states lumped)
-
 let _analysis_orbit model root =
   let rep = Analysis.Orbit.analyse model (Compose.info root) in
   List.iter
@@ -194,13 +185,10 @@ let _analysis_orbit model root =
     (Analysis.Orbit.diagnostics rep);
   (* Orbit-restricted quotient, with every merge audited against the
      one-step rates of the states it collapses. *)
-  let lumped =
-    Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) ~audit:true model
-  in
-  (* A019 probe: would the legacy whole-family sort be sound here? *)
-  let groups = Analysis.Symmetry.detect model (Compose.info root) in
-  let a019 = Analysis.Orbit.check_canon rep (Analysis.Symmetry.canon groups) in
-  ignore (lumped, a019)
+  let full = Ctmc.Explore.explore model in
+  let lumped = Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) model in
+  Format.printf "%d -> %d states@." (Ctmc.Explore.n_states full)
+    (Ctmc.Explore.n_states lumped)
 
 let _analysis_guard ~config ~stream ~observer () =
   let h = Itua.Model.build Itua.Params.default in

@@ -50,8 +50,8 @@ val to_json : t -> Report.Json.t
 (** {2 Codes}
 
     One constant per diagnostic code, so passes and tests never spell
-    the strings twice. A001, A002 and A016 are retired: their numbers are
-    never reused (see doc/ANALYSIS.md). *)
+    the strings twice. A001, A002, A016 and A019 are retired: their
+    numbers are never reused (see doc/ANALYSIS.md). *)
 
 val negative_write : string
 val dead_activity : string
@@ -68,7 +68,6 @@ val dead_branch : string
 val negative_capable : string
 val orbit_report : string
 val broken_symmetry : string
-val unsound_canon : string
 
 val catalogue : (string * string) list
 (** Every code with a one-line description, in code order. *)

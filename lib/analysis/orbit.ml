@@ -20,23 +20,57 @@ type family = {
   fa_breaks : break_ list;
 }
 
-type report = {
-  families : family list;
-  n_int : int;
-  n_float : int;
-}
+type report = { families : family list }
 
 let truncate n s = if String.length s <= n then s else String.sub s 0 n ^ "..."
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
 
 let strip_prefix prefix s =
   let pl = String.length prefix in
   if String.length s > pl && String.sub s 0 pl = prefix then
     String.sub s pl (String.length s - pl)
   else s
+
+(* ------------------------------------------------------------------ *)
+(* A copy's structural signature: relative place names with kind and
+   initial value, in declaration order, plus relative activity names.
+   Two copies with equal signatures hold the same state shape, so their
+   sub-state vectors are comparable slot by slot. *)
+
+let rec places_of (n : Compose.info) =
+  n.places @ List.concat_map places_of n.children
+
+let rec acts_of (n : Compose.info) =
+  n.activities @ List.concat_map acts_of n.children
+
+let copy_signature m0 (copy : Compose.info) =
+  let prefix = copy.Compose.path ^ "." in
+  let places =
+    List.map
+      (function
+        | P.P ip ->
+            Printf.sprintf "I:%s=%d"
+              (strip_prefix prefix (P.name ip))
+              (San.Marking.get m0 ip)
+        | P.F fp ->
+            Printf.sprintf "F:%s=%h"
+              (strip_prefix prefix (P.fname fp))
+              (San.Marking.fget m0 fp))
+      (places_of copy)
+  in
+  (places, List.map (strip_prefix prefix) (acts_of copy))
+
+(* The marking-array indices (int, float) of every place in the copy's
+   subtree, in declaration order: aligned across copies of equal
+   signature. *)
+let copy_slots copy =
+  let ints, floats =
+    List.partition_map
+      (function
+        | P.P ip -> Either.Left (P.index ip)
+        | P.F fp -> Either.Right (P.findex fp))
+      (places_of copy)
+  in
+  (Array.of_list ints, Array.of_list floats)
 
 (* ------------------------------------------------------------------ *)
 (* Per-copy parameter signature: every Ctx.note binding in the copy's
@@ -308,7 +342,7 @@ let shape_of sub (a : A.t) : (string * string) list =
 let verify model id_shapes sub ~rpath ~cpath =
   let swap_prefix a b name =
     let ap = a ^ "." in
-    if starts_with ~prefix:ap name then
+    if String.starts_with ~prefix:ap name then
       b ^ "." ^ String.sub name (String.length ap) (String.length name - String.length ap)
     else name
   in
@@ -339,12 +373,18 @@ let verify model id_shapes sub ~rpath ~cpath =
                 | Some ((k, x), (_, y)) -> (k, x, y)
                 | None -> ("shape", "?", "?")
               in
+              let who =
+                if pname = a.A.name then
+                  Printf.sprintf "activity %S reads copies %s and %s asymmetrically"
+                    a.A.name rpath cpath
+                else
+                  Printf.sprintf "activity %S is not exchangeable with %S"
+                    a.A.name pname
+              in
               raise
                 (Break
-                   (Printf.sprintf
-                      "activity %S is not exchangeable with %S: %s differs (%s vs %s)"
-                      a.A.name pname comp (truncate 120 mine)
-                      (truncate 120 theirs)))
+                   (Printf.sprintf "%s: %s differs (%s vs %s)" who comp
+                      (truncate 120 mine) (truncate 120 theirs)))
             end)
       (San.Model.activities model);
     Ok ()
@@ -372,39 +412,34 @@ let transposition_sub int_by_index float_by_index (ir, fr) (ic, fc) =
     fr;
   { si; sf }
 
+(* The first position where two rendered lists differ. *)
+let rec first_diff xs ys =
+  match (xs, ys) with
+  | x :: xs, y :: ys -> if (x : string) = y then first_diff xs ys else Some (x, y)
+  | [], [] -> None
+  | x :: _, [] -> Some (x, "<missing>")
+  | [], y :: _ -> Some ("<missing>", y)
+
 let sig_diff_reason pa pb (sa : string list * string list)
     (sb : string list * string list) =
-  let rec first xs ys =
-    match (xs, ys) with
-    | x :: xs, y :: ys -> if (x : string) = y then first xs ys else Some (x, y)
-    | [], [] -> None
-    | x :: _, [] -> Some (x, "<missing>")
-    | [], y :: _ -> Some ("<missing>", y)
-  in
   let detail =
-    match first (fst sa) (fst sb) with
+    match first_diff (fst sa) (fst sb) with
     | Some (x, y) -> Printf.sprintf "place layout differs (%s vs %s)" x y
     | None -> (
-        match first (snd sa) (snd sb) with
+        match first_diff (snd sa) (snd sb) with
         | Some (x, y) -> Printf.sprintf "activity set differs (%s vs %s)" x y
         | None -> "structural signature differs")
   in
   Printf.sprintf "copy %s vs %s: %s" pa pb detail
 
 let params_diff_reason pa pb la lb =
-  let rec first xs ys =
-    match (xs, ys) with
-    | x :: xs, y :: ys -> if (x : string) = y then first xs ys else Some (x, y)
-    | [], [] -> None
-    | x :: _, [] -> Some (x, "<missing>")
-    | [], y :: _ -> Some ("<missing>", y)
-  in
-  match first la lb with
+  match first_diff la lb with
   | Some (x, y) ->
       Printf.sprintf "copy %s vs %s: parameter differs (%s vs %s)" pa pb x y
   | None -> Printf.sprintf "copy %s vs %s: parameters differ" pa pb
 
 let analyse model (root : Compose.info) =
+  let m0 = San.Model.initial_marking model in
   let ints = San.Model.places model in
   let floats = San.Model.float_places model in
   let int_by_index = Hashtbl.create 64 in
@@ -428,10 +463,8 @@ let analyse model (root : Compose.info) =
             in
             let members = Array.of_list members in
             let ncopies = Array.length members in
-            let sigs =
-              Array.map (fun c -> Symmetry.copy_signature model c) members
-            in
-            let slots = Array.map Symmetry.copy_slots members in
+            let sigs = Array.map (copy_signature m0) members in
+            let slots = Array.map copy_slots members in
             let prms = Array.map params_sig members in
             let orbits : (int * int list ref) list ref = ref [] in
             let witnesses = ref [] and breaks = ref [] in
@@ -507,14 +540,10 @@ let analyse model (root : Compose.info) =
     List.iter (walk (depth + 1)) n.Compose.children
   in
   walk 0 root;
-  let families =
-    List.rev !families
-    |> List.stable_sort (fun a b -> Int.compare b.fa_depth a.fa_depth)
-  in
   {
-    families;
-    n_int = Array.length ints;
-    n_float = Array.length floats;
+    families =
+      List.rev !families
+      |> List.stable_sort (fun a b -> Int.compare b.fa_depth a.fa_depth);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -545,47 +574,7 @@ let canon report (ints0, floats0) =
     report.families;
   (ints, floats)
 
-let trivial report =
-  List.for_all
-    (fun f -> List.for_all (fun o -> List.length o.ob_members < 2) f.fa_orbits)
-    report.families
-
 let members_str ms = String.concat "," (List.map string_of_int ms)
-
-let check_canon report f =
-  let out = ref [] in
-  List.iter
-    (fun fam ->
-      match fam.fa_orbits with
-      | [] | [ _ ] -> ()
-      | o0 :: rest ->
-          let bump o =
-            let ints = Array.make report.n_int 0 in
-            let floats = Array.make report.n_float 0.0 in
-            if Array.length o.ob_int_slots.(0) > 0 then
-              ints.(o.ob_int_slots.(0).(0)) <- 1
-            else if Array.length o.ob_float_slots.(0) > 0 then
-              floats.(o.ob_float_slots.(0).(0)) <- 1.0;
-            (ints, floats)
-          in
-          List.iter
-            (fun ok ->
-              let k0 = bump o0 and k1 = bump ok in
-              if k0 <> k1 && f k0 = f k1 then
-                out :=
-                  Diagnostic.v ~code:Diagnostic.unsound_canon
-                    ~severity:Diagnostic.Error
-                    ~source:(Diagnostic.Composition fam.fa_path)
-                    (Printf.sprintf
-                       "canonicalization merges copy %d (orbit {%s}) with copy %d (orbit {%s}): the orbit refinement distinguishes them, so the quotient would be unsound"
-                       (List.hd o0.ob_members)
-                       (members_str o0.ob_members)
-                       (List.hd ok.ob_members)
-                       (members_str ok.ob_members))
-                  :: !out)
-            rest)
-    report.families;
-  List.sort Diagnostic.compare !out
 
 (* ------------------------------------------------------------------ *)
 

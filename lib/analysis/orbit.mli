@@ -1,27 +1,27 @@
-(** Automorphism orbits of Replicate families: partial-symmetry
-    detection with machine-checkable certificates.
+(** Automorphism orbits of Replicate families: symmetry detection with
+    machine-checkable certificates, and the canon for exact CTMC
+    lumping.
 
-    {!Analysis.Symmetry} lumps a Rep family only when {e all} of its
-    copies are exchangeable, and its static check stops at structural
-    shape — behavioral asymmetries (a per-copy rate multiplier, an
-    identity coupling like the ITUA model's [on_host] host ids) are
-    invisible to it, so its whole-family sort silently assumes what it
-    cannot see. This pass closes both gaps, in the
-    spirit of non-anonymous replication (Chiaradonna, Di Giandomenico &
-    Masetti, arXiv:1608.05874): it computes the {e orbits} of the
-    model's automorphism group restricted to copy permutations, so a
-    partially symmetric family (five hosts at one attack rate, five at
-    another) still lumps within each orbit.
+    The copies of a [Compose.replicate] family are structurally
+    identical by construction, but structure alone does not make them
+    exchangeable: a per-copy rate multiplier or an identity coupling
+    like the ITUA model's [on_host] host ids breaks the symmetry without
+    changing the shape. In the spirit of non-anonymous replication
+    (Chiaradonna, Di Giandomenico & Masetti, arXiv:1608.05874), this
+    pass computes the {e orbits} of the model's automorphism group
+    restricted to copy permutations, so a partially symmetric family
+    (five hosts at one attack rate, five at another) still lumps within
+    each orbit.
 
     The algorithm is a partition refinement over the colored
     place/activity incidence structure read off the effect IR:
 
     {ol
     {- {b Initial coloring.} Copies of a family are partitioned by
-       structural signature ({!Symmetry.copy_signature}: relative place
-       layout, kinds, initial markings, relative activity names) and by
-       the per-copy parameters recorded with {!Compose.Ctx.note}. Copies
-       with different colors can never share an orbit.}
+       structural signature (relative place layout, kinds, initial
+       markings, relative activity names) and by the per-copy
+       parameters recorded with {!Compose.Ctx.note}. Copies with
+       different colors can never share an orbit.}
     {- {b Refinement by certificate.} Within a color class, copy [c]
        joins the orbit of representative [r] iff the copy transposition
        [(r c)] is a verified automorphism: renaming every place of [r]
@@ -45,13 +45,8 @@
     {!canon} maps a state key to the representative of its orbit under
     the {e verified} group only: per family (deepest first), per orbit,
     the member sub-vectors are sorted — copies in different orbits are
-    never mixed. Feed it to {!Ctmc.Explore.explore}'s [?canon]
-    (optionally with [~audit:true], which cross-checks one-step
-    lumpability on every encountered state). {!check_canon} audits a
-    {e caller-supplied} canon against the computed orbits and returns
-    A019 errors when it merges states the refinement distinguishes —
-    e.g. {!Symmetry.canon}'s whole-family sort applied to a
-    heterogeneous family. *)
+    never mixed. Feed it to {!Ctmc.Explore.explore}'s [?canon], which
+    audits one-step lumpability on every merged state. *)
 
 (** One orbit of exchangeable copies within a family. *)
 type orbit = {
@@ -85,13 +80,7 @@ type family = {
   fa_breaks : break_ list;
 }
 
-type report = {
-  families : family list;  (** deepest first — the {!canon} order *)
-  n_int : int;
-      (** length of the marking's int vector — {!check_canon} builds its
-          witness states from these sizes *)
-  n_float : int;
-}
+type report = { families : family list  (** deepest first — the {!canon} order *) }
 
 val analyse : San.Model.t -> Compose.info -> report
 (** Computes the orbit partition of every Rep family with two or more
@@ -103,25 +92,10 @@ val canon :
 (** The orbit-restricted canonical representative: for each family,
     deepest first, each orbit's member sub-vectors are sorted
     lexicographically. Pure — input arrays are not mutated. Sound by
-    construction: only verified exchangeability is exploited, so it can
-    be fed to {!Ctmc.Explore.explore} without the lumped-vs-unlumped
-    validation {!Symmetry.canon} requires (running it anyway, as the
-    bench gate does, validates this module instead). *)
-
-val trivial : report -> bool
-(** No family has an orbit with two or more members — {!canon} is the
-    identity and lumping cannot shrink the chain. *)
-
-val check_canon :
-  report ->
-  (int array * float array -> int array * float array) ->
-  Diagnostic.t list
-(** Audits a caller-supplied canonicalization against the computed
-    orbits: for every family with at least two orbits, a witness state
-    pair distinguished by the refinement (the same perturbation applied
-    to copies in different orbits) is passed through the canon; mapping
-    both to one representative yields an A019 error diagnostic. Returns
-    [[]] when no unsound merge is detected. *)
+    construction: only verified exchangeability is exploited. The
+    exploration audit behind {!Ctmc.Explore.explore}'s [?canon]
+    cross-checks it anyway, so a bug in this module cannot silently
+    corrupt a solve. *)
 
 val diagnostics : report -> Diagnostic.t list
 (** The certificate as diagnostics: one A017 orbit report per analysed

@@ -87,16 +87,11 @@ let expand model m emit =
           end)
     (San.Model.activities model)
 
-let explore ?(max_states = 200_000) ?(canon = fun k -> k) ?(audit = false)
-    ?obs ?profile model =
-  (match profile with
-  | None -> ()
-  | Some p -> Obs.Profile.enter p Obs.Profile.Ctmc_explore);
-  let pool = Walker.Pool.create () in
-  let frontier = Queue.create () in
-  (* Lumpability audit: a sound canon maps a state and its representative
-     to identical one-step behaviour over canonical classes. Verified on
-     every distinct pre-canon key whose representative differs. *)
+(* Lumpability audit: a sound canon maps a state and its representative
+   to identical one-step behaviour over canonical classes. The returned
+   check [k ck] verifies it for a pre-canon key [k] whose representative
+   [ck] differs, once per distinct [k]. *)
+let lumpability_audit model canon =
   let successors_by_class m =
     let tbl = Hashtbl.create 16 in
     expand model m (fun k r ->
@@ -106,7 +101,7 @@ let explore ?(max_states = 200_000) ?(canon = fun k -> k) ?(audit = false)
     tbl
   in
   let audited = Walker.KeyTbl.create 256 in
-  let audit_key k ck =
+  fun k ck ->
     if not (Walker.KeyTbl.mem audited k) then begin
       Walker.KeyTbl.add audited k ();
       if canon ck <> ck then
@@ -135,13 +130,27 @@ let explore ?(max_states = 200_000) ?(canon = fun k -> k) ?(audit = false)
       check s1 s2;
       check s2 s1
     end
-  in
-  let intern k =
-    let ck = canon k in
-    if audit && ck <> k then audit_key k ck;
+
+let explore ?(max_states = 200_000) ?canon ?obs ?profile model =
+  (match profile with
+  | None -> ()
+  | Some p -> Obs.Profile.enter p Obs.Profile.Ctmc_explore);
+  let pool = Walker.Pool.create () in
+  let frontier = Queue.create () in
+  let intern_canonical ck =
     let i, fresh = Walker.Pool.intern pool ~max_states ck in
     if fresh then Queue.add i frontier;
     i
+  in
+  let intern =
+    match canon with
+    | None -> intern_canonical
+    | Some canon ->
+        let audit_key = lumpability_audit model canon in
+        fun k ->
+          let ck = canon k in
+          if ck <> k then audit_key k ck;
+          intern_canonical ck
   in
   let initial_dist =
     resolve_vanishing model (San.Model.initial_marking model)

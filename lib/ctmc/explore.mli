@@ -31,16 +31,15 @@ exception Too_many_states of int
 (** Exploration exceeded [max_states]. *)
 
 exception Unsound_canon of string
-(** The [~audit:true] cross-check caught the supplied [canon] merging
-    states with different one-step behaviour (or failing idempotence):
-    the quotient chain would not be a lumping of the full chain. *)
+(** The audit of a supplied [canon] caught it merging states with
+    different one-step behaviour (or failing idempotence): the quotient
+    chain would not be a lumping of the full chain. *)
 
 type t
 
 val explore :
   ?max_states:int ->
   ?canon:(int array * float array -> int array * float array) ->
-  ?audit:bool ->
   ?obs:Obs.Registry.t ->
   ?profile:Obs.Profile.t ->
   San.Model.t ->
@@ -58,19 +57,18 @@ val explore :
     [canon], when supplied, maps every stable state key to a canonical
     representative before interning — the hook for exact lumping: when
     [canon] picks one representative per orbit of a symmetry of the
-    model (see [Analysis.Symmetry]), the resulting chain is the lumped
+    model (see [Analysis.Orbit]), the resulting chain is the lumped
     quotient and every measure over symmetric reward functions is
-    preserved. [canon] must be pure and idempotent on its image; the
-    default is the identity.
+    preserved. [canon] must be pure and idempotent on its image. Without
+    it, states are interned as reached and no canon is called.
 
-    [audit] (default [false]) cross-checks strong lumpability on the
+    A supplied [canon] is always audited for strong lumpability on the
     fly: for every distinct pre-canon key whose representative differs,
     the one-step successor-rate distribution over canonical classes of
     the key and of its representative must agree within 1e-9 relative
     tolerance (and [canon] must be idempotent there). Violations raise
     {!Unsound_canon}. Expanding both sides costs roughly the unlumped
-    exploration on top of the lumped one — intended for validation runs
-    and CI gates, not the hot path. *)
+    exploration on top of the lumped one. *)
 
 val n_states : t -> int
 

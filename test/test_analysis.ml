@@ -661,7 +661,7 @@ let test_catalogue_covers_all_codes () =
       D.instantaneous_loop; D.instantaneous_tie; D.unused_shared_place;
       D.unbounded_place; D.dead_effect; D.invariant_violated;
       D.ir_mismatch; D.dead_branch; D.negative_capable; D.orbit_report;
-      D.broken_symmetry; D.unsound_canon;
+      D.broken_symmetry;
     ]
 
 (* --- committed check certificates --- *)

@@ -444,43 +444,64 @@ let prop_random_queue_sim_matches_ctmc =
           "lambda=%.2f mu=%.2f k=%d t=%.2f: exact %.4f, sim %.4f (err %.4f,            sem %.4f)"
           lambda mu k t exact r.Sim.Runner.ci.Stats.Ci.mean err sem)
 
-(* --- symmetry-driven lumping --- *)
+(* --- orbit refinement and symmetry-driven lumping --- *)
 
-(* [n] exchangeable two-state machines composed with Compose.replicate:
-   the full chain has 2^n states, the canonical-ordering quotient n+1. *)
-let replicated_farm n =
-  let b = San.Model.Builder.create "farm" in
-  let root = Compose.Ctx.root b "farm" in
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
+(* [n] two-state machines (fail/repair) composed with Compose.replicate:
+   the full chain has 2^n states, the canonical-ordering quotient n+1.
+   Optional asymmetries: a per-copy failure rate, a per-copy parameter
+   note, a per-copy initial marking, and [extra], which may add
+   root-level activities over the copies' [up] places. *)
+let ir_farm ?(rates = fun _ -> 1.0) ?note ?(init = fun _ -> 1)
+    ?(extra = fun _ _ -> ()) n =
+  let module E = San.Effect in
+  let b = San.Model.Builder.create "irfarm" in
+  let root = Compose.Ctx.root b "irfarm" in
   let ups =
-    Compose.replicate root "node" ~n (fun ctx _ ->
-        let up = Compose.Ctx.int_place ctx ~init:1 "up" in
+    Compose.replicate root "node" ~n (fun ctx i ->
+        (match note with
+        | None -> ()
+        | Some f -> Compose.Ctx.note ctx "fail_rate" (f i));
+        let up = Compose.Ctx.int_place ctx ~init:(init i) "up" in
         Compose.Ctx.timed_exp ctx ~name:"fail"
-          ~rate:(San.Effect.RConst 1.0)
-          ~guard:San.Effect.(Cmp (Mark up, Eq, Int 1))
+          ~rate:(E.RConst (rates i))
+          ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 1))
           ~reads:[ San.Place.P up ]
-          San.Effect.(Ops [ Set (up, Int 0) ]);
-        Compose.Ctx.timed_exp ctx ~name:"repair"
-          ~rate:(San.Effect.RConst 2.5)
-          ~guard:San.Effect.(Cmp (Mark up, Eq, Int 0))
+          (E.Ops [ E.Set (up, E.Int 0) ]);
+        Compose.Ctx.timed_exp ctx ~name:"repair" ~rate:(E.RConst 2.5)
+          ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 0))
           ~reads:[ San.Place.P up ]
-          San.Effect.(Ops [ Set (up, Int 1) ]);
+          (E.Ops [ E.Set (up, E.Int 1) ]);
         up)
   in
+  extra root ups;
   (San.Model.Builder.build b, Compose.info root, ups)
 
-let test_lumped_measures_agree () =
+let test_orbit_full_symmetry () =
   let n = 6 in
-  let model, info, ups = replicated_farm n in
-  let groups = Analysis.Symmetry.detect model info in
-  (match groups with
-  | [ g ] -> Alcotest.(check int) "six copies" n g.Analysis.Symmetry.copies
-  | gs -> Alcotest.failf "expected one group, got %d" (List.length gs));
+  let model, info, _ = ir_farm n in
+  let rep = Analysis.Orbit.analyse model info in
+  (match rep.Analysis.Orbit.families with
+  | [ f ] ->
+      Alcotest.(check int) "one orbit" 1 (List.length f.Analysis.Orbit.fa_orbits);
+      Alcotest.(check int) "star witnesses" (n - 1)
+        (List.length f.Analysis.Orbit.fa_witnesses);
+      Alcotest.(check int) "no breaks" 0 (List.length f.Analysis.Orbit.fa_breaks)
+  | fs -> Alcotest.failf "expected one family, got %d" (List.length fs));
   let full = Ctmc.Explore.explore model in
-  let lumped =
-    Ctmc.Explore.explore ~canon:(Analysis.Symmetry.canon groups) model
-  in
+  let lumped = Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) model in
   Alcotest.(check int) "full chain: 2^6" 64 (Ctmc.Explore.n_states full);
-  Alcotest.(check int) "lumped chain: n+1" 7 (Ctmc.Explore.n_states lumped);
+  Alcotest.(check int) "lumped chain: n+1" 7 (Ctmc.Explore.n_states lumped)
+
+let test_lumped_measures_agree () =
+  let model, info, ups = ir_farm 6 in
+  let rep = Analysis.Orbit.analyse model info in
+  let full = Ctmc.Explore.explore model in
+  let lumped = Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) model in
   (* Symmetric rewards must agree between the chains to solver accuracy:
      the lumping is exact, not approximate. *)
   let n_up m =
@@ -504,69 +525,6 @@ let test_lumped_measures_agree () =
     (Ctmc.Measure.steady_average full n_up)
     (Ctmc.Measure.steady_average lumped n_up)
 
-(* --- orbit refinement (partial symmetry) --- *)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-(* Like [replicated_farm], but fully declarative (IR guards, rates and
-   effects) so the orbit pass can verify exchangeability — with an
-   optional per-copy failure rate to break it. *)
-let ir_farm ?(rates = fun _ -> 1.0) ?note n =
-  let module E = San.Effect in
-  let b = San.Model.Builder.create "irfarm" in
-  let root = Compose.Ctx.root b "irfarm" in
-  let ups =
-    Compose.replicate root "node" ~n (fun ctx i ->
-        (match note with
-        | None -> ()
-        | Some f -> Compose.Ctx.note ctx "fail_rate" (f i));
-        let up = Compose.Ctx.int_place ctx ~init:1 "up" in
-        Compose.Ctx.timed_exp ctx ~name:"fail"
-          ~rate:(E.RConst (rates i))
-          ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 1))
-          ~reads:[ San.Place.P up ]
-          (E.Ops [ E.Set (up, E.Int 0) ]);
-        Compose.Ctx.timed_exp ctx ~name:"repair" ~rate:(E.RConst 2.5)
-          ~guard:(E.Cmp (E.Mark up, E.Eq, E.Int 0))
-          ~reads:[ San.Place.P up ]
-          (E.Ops [ E.Set (up, E.Int 1) ]);
-        up)
-  in
-  (San.Model.Builder.build b, Compose.info root, ups)
-
-let test_orbit_full_symmetry () =
-  let n = 6 in
-  let model, info, ups = ir_farm n in
-  let rep = Analysis.Orbit.analyse model info in
-  (match rep.Analysis.Orbit.families with
-  | [ f ] ->
-      Alcotest.(check int) "one orbit" 1 (List.length f.Analysis.Orbit.fa_orbits);
-      Alcotest.(check int) "star witnesses" (n - 1)
-        (List.length f.Analysis.Orbit.fa_witnesses);
-      Alcotest.(check int) "no breaks" 0 (List.length f.Analysis.Orbit.fa_breaks)
-  | fs -> Alcotest.failf "expected one family, got %d" (List.length fs));
-  let full = Ctmc.Explore.explore model in
-  let lumped =
-    Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) ~audit:true model
-  in
-  Alcotest.(check int) "full chain: 2^6" 64 (Ctmc.Explore.n_states full);
-  Alcotest.(check int) "lumped chain: n+1" 7 (Ctmc.Explore.n_states lumped);
-  let n_up m =
-    Array.fold_left
-      (fun acc up -> acc +. float_of_int (San.Marking.get m up))
-      0.0 ups
-  in
-  List.iter
-    (fun t ->
-      close ~tol:1e-9
-        (Printf.sprintf "E[up] at t=%g" t)
-        (Ctmc.Measure.instant full ~at:t n_up)
-        (Ctmc.Measure.instant lumped ~at:t n_up))
-    [ 0.3; 1.0; 4.0 ]
-
 let test_orbit_partial_symmetry () =
   let n = 6 in
   let rates i = if i < 3 then 1.0 else 4.0 in
@@ -589,9 +547,7 @@ let test_orbit_partial_symmetry () =
       | os -> Alcotest.failf "expected two orbits, got %d" (List.length os))
   | fs -> Alcotest.failf "expected one family, got %d" (List.length fs));
   let full = Ctmc.Explore.explore model in
-  let lumped =
-    Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) ~audit:true model
-  in
+  let lumped = Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) model in
   Alcotest.(check int) "full chain: 2^6" 64 (Ctmc.Explore.n_states full);
   Alcotest.(check int) "lumped chain: 4*4" 16 (Ctmc.Explore.n_states lumped);
   let n_up m =
@@ -606,21 +562,19 @@ let test_orbit_partial_symmetry () =
         (Ctmc.Measure.instant full ~at:t n_up)
         (Ctmc.Measure.instant lumped ~at:t n_up))
     [ 0.3; 1.0; 4.0 ];
-  (* The structural pass cannot see the rate difference, so its
-     whole-family sort is unsound here — A019 names it, and the explore
-     audit refuses to build the quotient. *)
-  let groups = Analysis.Symmetry.detect model info in
-  Alcotest.(check int) "structural detect still groups" 1 (List.length groups);
-  let bad = Analysis.Symmetry.canon groups in
-  (match Analysis.Orbit.check_canon rep bad with
-  | [] -> Alcotest.fail "expected an A019 diagnostic"
-  | d :: _ ->
-      Alcotest.(check string)
-        "code" Analysis.Diagnostic.unsound_canon d.Analysis.Diagnostic.code);
-  Alcotest.(check bool) "sound canon passes check_canon" true
-    (Analysis.Orbit.check_canon rep (Analysis.Orbit.canon rep) = []);
+  (* Sorting the whole family as one orbit ignores the rate difference:
+     the explore audit, always on for a supplied canon, refuses to build
+     that quotient. *)
+  let whole_family_sort (ints, floats) =
+    let ints = Array.copy ints in
+    let slots = Array.map San.Place.index ups in
+    let vals = Array.map (fun i -> ints.(i)) slots in
+    Array.sort Int.compare vals;
+    Array.iteri (fun k i -> ints.(i) <- vals.(k)) slots;
+    (ints, floats)
+  in
   Alcotest.(check bool) "audit rejects unsound canon" true
-    (match Ctmc.Explore.explore ~canon:bad ~audit:true model with
+    (match Ctmc.Explore.explore ~canon:whole_family_sort model with
     | (_ : Ctmc.Explore.t) -> false
     | exception Ctmc.Explore.Unsound_canon _ -> true)
 
@@ -665,21 +619,17 @@ let test_symmetry_join_of_replicate () =
   let (_ : unit array) = Compose.join root "right" (fun ctx -> farm ctx "cell" 2) in
   let model = San.Model.Builder.build b in
   let info = Compose.info root in
-  let groups = Analysis.Symmetry.detect model info in
-  Alcotest.(check (list int)) "two groups, 3 and 2 copies" [ 2; 3 ]
-    (List.sort compare
-       (List.map (fun g -> g.Analysis.Symmetry.copies) groups));
-  (* The orbit pass agrees: both families are single full orbits. *)
   let rep = Analysis.Orbit.analyse model info in
+  Alcotest.(check (list int)) "two families, 3 and 2 copies" [ 2; 3 ]
+    (List.sort compare
+       (List.map (fun f -> f.Analysis.Orbit.fa_copies) rep.Analysis.Orbit.families));
   Alcotest.(check (list int)) "one orbit per family" [ 1; 1 ]
     (List.map
        (fun f -> List.length f.Analysis.Orbit.fa_orbits)
        rep.Analysis.Orbit.families);
   (* Joint quotient: 2^5 = 32 states down to 4 x 3 = 12 multisets. *)
   let full = Ctmc.Explore.explore model in
-  let lumped =
-    Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) ~audit:true model
-  in
+  let lumped = Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) model in
   Alcotest.(check int) "full chain" 32 (Ctmc.Explore.n_states full);
   Alcotest.(check int) "lumped chain" 12 (Ctmc.Explore.n_states lumped)
 
@@ -707,12 +657,11 @@ let test_symmetry_nested_replicate () =
   in
   let model = San.Model.Builder.build b in
   let info = Compose.info root in
-  let groups = Analysis.Symmetry.detect model info in
+  let rep = Analysis.Orbit.analyse model info in
   Alcotest.(check (list int)) "outer family + one inner per copy"
     [ 2; 3; 3 ]
     (List.sort compare
-       (List.map (fun g -> g.Analysis.Symmetry.copies) groups));
-  let rep = Analysis.Orbit.analyse model info in
+       (List.map (fun f -> f.Analysis.Orbit.fa_copies) rep.Analysis.Orbit.families));
   Alcotest.(check (list int)) "full orbits everywhere" [ 1; 1; 1 ]
     (List.map
        (fun f -> List.length f.Analysis.Orbit.fa_orbits)
@@ -721,9 +670,7 @@ let test_symmetry_nested_replicate () =
      two domain subvectors leaves unordered pairs of host multisets:
      C(4+1, 2) = 10. *)
   let full = Ctmc.Explore.explore model in
-  let lumped =
-    Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) ~audit:true model
-  in
+  let lumped = Ctmc.Explore.explore ~canon:(Analysis.Orbit.canon rep) model in
   Alcotest.(check int) "full chain" 64 (Ctmc.Explore.n_states full);
   Alcotest.(check int) "lumped chain" 10 (Ctmc.Explore.n_states lumped);
   let n_up m =
@@ -764,23 +711,51 @@ let test_orbit_report_deterministic () =
         (Domain.join d))
     spawned
 
-let test_symmetry_detect_rejects_asymmetry () =
-  (* Copies that differ structurally (different initial marking) must
-     not be reported as exchangeable. *)
-  let b = San.Model.Builder.create "skewed" in
-  let root = Compose.Ctx.root b "skewed" in
-  let (_ : unit array) =
-    Compose.replicate root "node" ~n:3 (fun ctx i ->
-        let up = Compose.Ctx.int_place ctx ~init:(if i = 0 then 0 else 1) "up" in
-        Compose.Ctx.timed_exp ctx ~name:"toggle"
-          ~rate:(San.Effect.RConst 1.0)
-          ~guard:(San.Effect.Const true)
-          ~reads:[ San.Place.P up ]
-          San.Effect.(Ops [ Set (up, Sub (Int 1, Mark up)) ]))
+let test_orbit_rejects_asymmetry () =
+  (* Copies that differ structurally (copy 0 starts down) never share an
+     orbit: the initial coloring splits copy 0 from {1, 2}, and the
+     break names the differing place. *)
+  let model, info, _ = ir_farm ~init:(fun i -> if i = 0 then 0 else 1) 3 in
+  let rep = Analysis.Orbit.analyse model info in
+  match rep.Analysis.Orbit.families with
+  | [ f ] -> (
+      Alcotest.(check (list (list int)))
+        "copy 0 alone" [ [ 0 ]; [ 1; 2 ] ]
+        (List.map (fun o -> o.Analysis.Orbit.ob_members) f.Analysis.Orbit.fa_orbits);
+      match f.Analysis.Orbit.fa_breaks with
+      | bk :: _ ->
+          Alcotest.(check bool) "break names the place layout" true
+            (contains bk.Analysis.Orbit.bk_reason "place layout differs")
+      | [] -> Alcotest.fail "expected a break")
+  | fs -> Alcotest.failf "expected one family, got %d" (List.length fs)
+
+let test_orbit_parent_activity_break () =
+  (* A root-level activity that reads only copy 0 maps to itself under
+     every transposition: the break must say it reads the two copies
+     asymmetrically, not that it is not exchangeable with itself. *)
+  let module E = San.Effect in
+  let extra root ups =
+    Compose.Ctx.timed_exp root ~name:"watch" ~rate:(E.RConst 1.0)
+      ~guard:(E.Cmp (E.Mark ups.(0), E.Eq, E.Int 0))
+      ~reads:[ San.Place.P ups.(0) ]
+      (E.Ops [ E.Set (ups.(0), E.Int 1) ])
   in
-  let model = San.Model.Builder.build b in
-  Alcotest.(check int) "no exchangeable groups" 0
-    (List.length (Analysis.Symmetry.detect model (Compose.info root)))
+  let model, info, _ = ir_farm ~extra 3 in
+  let rep = Analysis.Orbit.analyse model info in
+  match rep.Analysis.Orbit.families with
+  | [ f ] -> (
+      Alcotest.(check (list (list int)))
+        "copy 0 alone" [ [ 0 ]; [ 1; 2 ] ]
+        (List.map (fun o -> o.Analysis.Orbit.ob_members) f.Analysis.Orbit.fa_orbits);
+      match f.Analysis.Orbit.fa_breaks with
+      | [ bk ] ->
+          Alcotest.(check string) "break reason"
+            "activity \"watch\" reads copies node[0] and node[1] \
+             asymmetrically: guard differs"
+            (String.sub bk.Analysis.Orbit.bk_reason 0
+               (String.index bk.Analysis.Orbit.bk_reason '(' - 1))
+      | bks -> Alcotest.failf "expected one break, got %d" (List.length bks))
+  | fs -> Alcotest.failf "expected one family, got %d" (List.length fs)
 
 (* --- one solver kernel: bit-identity against the list-based solvers --- *)
 
@@ -1103,12 +1078,12 @@ let () =
         ] );
       ( "lumping",
         [
-          Alcotest.test_case "lumped measures agree" `Quick
-            test_lumped_measures_agree;
           Alcotest.test_case "asymmetry rejected" `Quick
-            test_symmetry_detect_rejects_asymmetry;
+            test_orbit_rejects_asymmetry;
           Alcotest.test_case "orbit: full symmetry" `Quick
             test_orbit_full_symmetry;
+          Alcotest.test_case "lumped measures agree" `Quick
+            test_lumped_measures_agree;
           Alcotest.test_case "orbit: partial symmetry" `Quick
             test_orbit_partial_symmetry;
           Alcotest.test_case "orbit: params split" `Quick
@@ -1119,6 +1094,8 @@ let () =
             test_symmetry_nested_replicate;
           Alcotest.test_case "orbit report deterministic" `Quick
             test_orbit_report_deterministic;
+          Alcotest.test_case "orbit: parent activity break" `Quick
+            test_orbit_parent_activity_break;
         ] );
       ( "transient",
         [

@@ -279,6 +279,26 @@ let test_measures_in_range () =
             Alcotest.failf "%s out of [0,1]: %g" name m)
     rs
 
+let test_improper_threshold () =
+  (* Agreement among the running replicas survives m undetected corrupt
+     ones only while n > 3m: an application turns improper once
+     3 * corrupt >= running with at least one corrupt replica. *)
+  let h = Itua.Model.build small_params in
+  let ap = h.Itua.Model.apps.(0) in
+  let m = San.Model.initial_marking h.Itua.Model.model in
+  List.iter
+    (fun (running, corrupt, expected) ->
+      M.set m ap.Itua.Model.replicas_running running;
+      M.set m ap.Itua.Model.rep_corr_undetected corrupt;
+      Alcotest.(check bool)
+        (Printf.sprintf "running %d, corrupt %d" running corrupt)
+        expected
+        (Itua.Model.improper h 0 m))
+    [
+      (3, 0, false); (4, 1, false); (3, 1, true); (7, 2, false);
+      (6, 2, true); (1, 1, true); (0, 0, false);
+    ]
+
 let test_unreliability_dominates_final_unavailability () =
   (* For any fixed window, time-average of the improper indicator is at
      most the probability the window ever saw an improper instant (both
@@ -867,6 +887,8 @@ let () =
       ( "measures",
         [
           Alcotest.test_case "ranges" `Quick test_measures_in_range;
+          Alcotest.test_case "improper at a third corrupt" `Quick
+            test_improper_threshold;
           Alcotest.test_case "unavailability below unreliability" `Slow
             test_unreliability_dominates_final_unavailability;
           Alcotest.test_case "conditional measure undefined" `Quick

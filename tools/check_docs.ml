@@ -1,4 +1,4 @@
-(* Docs gate: keeps the markdown honest. Two checks, both strict:
+(* Docs gate: keeps the markdown honest. Four checks, all strict:
 
    1. Every relative link and anchor in every *.md file of the repo
       resolves: the target file exists, and a #fragment names a real
@@ -13,6 +13,10 @@
       (the parser behind the itua-model/1 and itua-analysis/1 formats),
       so documented JSON shapes cannot drift into invalid syntax.
       Snippets with a `...` elision line are skipped.
+   4. Every code in Analysis.Diagnostic.catalogue has a `### Axxx-...`
+      heading in doc/ANALYSIS.md, and every such heading whose code is
+      not in the catalogue says "retired", so a code is never dropped
+      from the docs or silently reused.
 
    Usage: dune exec tools/check_docs.exe [ROOT]   (default ROOT = .)
    Exits nonzero listing every failure; CI runs it on every push. *)
@@ -236,6 +240,40 @@ let snippet_found ~mirror snippet =
   let rec from i = i <= n && (go i 0 || from (i + 1)) in
   from 0
 
+(* Check 4: the diagnostic catalogue against doc/ANALYSIS.md's
+   headings. A heading's code is its first word. *)
+let check_codes root =
+  let file = Filename.concat root "doc/ANALYSIS.md" in
+  let codes = List.map fst Analysis.Diagnostic.catalogue in
+  let headings =
+    List.filter_map
+      (fun line ->
+        if starts_with "### A" line then
+          let text = trim (String.sub line 4 (String.length line - 4)) in
+          let code =
+            match String.index_opt text ' ' with
+            | Some i -> String.sub text 0 i
+            | None -> text
+          in
+          Some (code, contains_sub line "retired")
+        else None)
+      (if Sys.file_exists file then (doc_of file).lines else [])
+  in
+  List.iter
+    (fun code ->
+      if not (List.mem_assoc code headings) then
+        fail file (Printf.sprintf "no heading for diagnostic code %s" code))
+    codes;
+  List.iter
+    (fun (code, retired) ->
+      if not (List.mem code codes || retired) then
+        fail file
+          (Printf.sprintf
+             "heading %s: code not in the catalogue and not marked retired"
+             code))
+    headings;
+  List.length codes
+
 let () =
   let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
   let md_files = ref [] in
@@ -306,11 +344,14 @@ let () =
           d.json_snippets
       end)
     md_files;
+  let codes_checked = check_codes root in
   match List.rev !failures with
   | [] ->
       Printf.printf "docs check: %d markdown files, %d relative links, %d \
-                     ocaml snippets, %d json snippets — OK\n"
+                     ocaml snippets, %d json snippets, %d diagnostic codes \
+                     — OK\n"
         (List.length md_files) !links_checked !snippets_checked !json_checked
+        codes_checked
   | fs ->
       List.iter (fun f -> Printf.eprintf "%s\n" f) fs;
       Printf.eprintf "docs check: %d failure(s)\n" (List.length fs);
