@@ -72,6 +72,9 @@ let perf_tests () =
   let ts_cfg = Sim.Executor.config ~horizon:100.0 () in
   let itua_handles = Itua.Model.build Itua.Params.default in
   let itua_cfg = Sim.Executor.config ~horizon:10.0 () in
+  (* A horizon no event reaches: the replication is its setup alone (state
+     allocation, t = 0 stabilization and scheduling). *)
+  let setup_cfg = Sim.Executor.config ~horizon:1e-9 () in
   let counter = ref 0 in
   let next_stream () =
     incr counter;
@@ -88,6 +91,12 @@ let perf_tests () =
            ignore
              (Sim.Executor.run ~model:itua_handles.Itua.Model.model
                 ~config:itua_cfg ~stream:(next_stream ())
+                ~observer:Sim.Observer.nop ())));
+    Bechamel.Test.make ~name:"executor: ITUA 10x3/4 apps, zero-horizon setup"
+      (Bechamel.Staged.stage (fun () ->
+           ignore
+             (Sim.Executor.run ~model:itua_handles.Itua.Model.model
+                ~config:setup_cfg ~stream:(next_stream ())
                 ~observer:Sim.Observer.nop ())));
     Bechamel.Test.make ~name:"model build: ITUA 10x3/4 apps"
       (Bechamel.Staged.stage (fun () ->

@@ -8,24 +8,23 @@ type key = int array * float array
 let key_of_marking m =
   (San.Marking.int_snapshot m, San.Marking.float_snapshot m)
 
+(* A key is a snapshot of a marking of [model]: its ints are already
+   non-negative, so only its shape is checked. *)
 let restore model ((ints, floats) : key) =
-  let m = San.Model.initial_marking model in
-  Array.iteri
-    (fun i p -> San.Marking.set m p ints.(i))
-    (San.Model.places model);
-  Array.iteri
-    (fun i p -> San.Marking.fset m p floats.(i))
-    (San.Model.float_places model);
-  San.Marking.clear_journal m;
-  m
+  if
+    Array.length ints <> Array.length (San.Model.places model)
+    || Array.length floats <> Array.length (San.Model.float_places model)
+  then invalid_arg "Walker.restore: key does not match the model";
+  San.Marking.of_arrays ints floats
 
 let enabled_instantaneous model m =
-  Array.fold_left
-    (fun acc (a : San.Activity.t) ->
-      if San.Activity.is_instantaneous a && a.enabled m then a :: acc else acc)
+  let acts = San.Model.activities model in
+  Array.fold_right
+    (fun id acc ->
+      let a = acts.(id) in
+      if a.San.Activity.enabled m then a :: acc else acc)
+    (San.Model.instantaneous_ids model)
     []
-    (San.Model.activities model)
-  |> List.rev
 
 let normalized_weights (a : San.Activity.t) m =
   let w = Array.map (fun c -> c.San.Activity.case_weight m) a.cases in

@@ -286,12 +286,6 @@ let exclude_host_e sk g =
         ],
       E.Skip )
 
-(* Management response to a detection concerning host [g]. *)
-let respond_e sk g =
-  match sk.p.Params.policy with
-  | Params.Domain_exclusion -> exclude_domain_e sk (domain_idx sk g)
-  | Params.Host_exclusion -> exclude_host_e sk g
-
 (* Start one replica of application [a] on host [g]: a [Pick] over the
    free slots (uniform; slots are exchangeable, and a single free slot
    consumes no randomness — the paper's enable_rep race does the same). *)
@@ -543,6 +537,21 @@ let build params =
     in
     chain 0
   in
+  (* The management response to a conviction or detection excludes a
+     domain or a host. Each exclusion term is built once and shared
+     physically by every activity that triggers it: the per-slot
+     [respond_conviction] dispatch chains alone would otherwise hold one
+     copy per slot and domain, nearly all of the model's effect IR. *)
+  let exclusion =
+    match p.Params.policy with
+    | Params.Domain_exclusion -> Array.init nd (exclude_domain_e sk)
+    | Params.Host_exclusion -> Array.init (nd * nhosts) (exclude_host_e sk)
+  in
+  let respond_e g =
+    match p.Params.policy with
+    | Params.Domain_exclusion -> exclusion.(domain_idx sk g)
+    | Params.Host_exclusion -> exclusion.(g)
+  in
 
   (* --- Replica submodel activities --- *)
   let replica_name a r s = Printf.sprintf "app[%d].replica[%d].%s" a r s in
@@ -638,11 +647,11 @@ let build params =
             ~reads:(slot_reads @ mgr_group_reads)
             (match p.Params.policy with
             | Params.Domain_exclusion ->
-                dispatch_domain sl (fun d -> exclude_domain_e sk d)
+                dispatch_domain sl (Array.get exclusion)
             | Params.Host_exclusion ->
                 E.If
                   ( pe sl.convicted_by_ids 1,
-                    dispatch_host sl (fun g -> exclude_host_e sk g),
+                    dispatch_host sl (Array.get exclusion),
                     dispatch_host sl (fun g -> kill_replica_e sk a r g) )))
         ap.slots)
     apps;
@@ -831,7 +840,7 @@ let build params =
       ~reads:
         ([ P.P hp.host_detected; P.P hp.alive; P.P hp.mgr_corrupt ]
         @ mgr_group_reads)
-      (respond_e sk g);
+      (respond_e g);
     (* attack_mgmt: attacks against the manager on this host. *)
     B.timed_exp b
       ~name:(host_name g "attack_mgmt")
@@ -899,7 +908,7 @@ let build params =
              E.Any [ dom_group_ok_c sk d; quorum_ok_c sk ];
            ])
       ~reads:([ P.P hp.mgr_detected; P.P hp.alive ] @ mgr_group_reads)
-      (respond_e sk g)
+      (respond_e g)
   done;
 
   let model = B.build b in

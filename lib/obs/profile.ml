@@ -5,12 +5,13 @@ type phase =
   | Heap_push
   | Heap_pop
   | Checkpoint
+  | Setup
   | Ctmc_explore
   | Ctmc_solve
 
 let phases =
   [|
-    Propagate; Stabilize; Sample; Heap_push; Heap_pop; Checkpoint;
+    Propagate; Stabilize; Sample; Heap_push; Heap_pop; Checkpoint; Setup;
     Ctmc_explore; Ctmc_solve;
   |]
 
@@ -23,8 +24,9 @@ let phase_index = function
   | Heap_push -> 3
   | Heap_pop -> 4
   | Checkpoint -> 5
-  | Ctmc_explore -> 6
-  | Ctmc_solve -> 7
+  | Setup -> 6
+  | Ctmc_explore -> 7
+  | Ctmc_solve -> 8
 
 let phase_name = function
   | Propagate -> "propagate"
@@ -33,6 +35,7 @@ let phase_name = function
   | Heap_push -> "heap_push"
   | Heap_pop -> "heap_pop"
   | Checkpoint -> "checkpoint"
+  | Setup -> "setup"
   | Ctmc_explore -> "ctmc_explore"
   | Ctmc_solve -> "ctmc_solve"
 

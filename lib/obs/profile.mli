@@ -9,7 +9,8 @@
     too, making "mean ns per propagate" a one-division read.
 
     The executor instruments its hot phases (propagate, stabilize,
-    sampling, heap push/pop, checkpoint/clone) when — and only when — a
+    sampling, heap push/pop, checkpoint/clone) and its per-replication
+    setup when — and only when — a
     profiler is passed; with no profiler the only cost is one option
     match per site. The CTMC stack instruments exploration and solver
     iterations the same way.
@@ -34,6 +35,10 @@ type phase =
   | Heap_push  (** event-heap insertion *)
   | Heap_pop  (** event-heap extraction *)
   | Checkpoint  (** checkpoint capture and clone resume (splitting) *)
+  | Setup
+      (** per-replication executor setup: state allocation, the t = 0
+          scheduling loop and (nested as [Stabilize]) t = 0
+          stabilization *)
   | Ctmc_explore  (** state-space generation *)
   | Ctmc_solve  (** steady/transient solver iterations *)
 

@@ -96,12 +96,12 @@ type t = {
   distribution : Marking.t -> Dist.t;
 }
 
-let make_case ?(weight = Effect.RConst 1.0) effect =
+let make_case ?memo ?(weight = Effect.RConst 1.0) effect =
   {
     weight;
     effect;
     case_weight = Effect.rexpr_fn weight;
-    prog = Effect.compile effect;
+    prog = Effect.compile ?memo effect;
   }
 
 let make ~id ~name ~timing ~guard ~reads cases =

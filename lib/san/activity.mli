@@ -90,9 +90,9 @@ type t = private {
           [Invalid_argument] on an instantaneous activity. *)
 }
 
-val make_case : ?weight:Effect.rexpr -> Effect.t -> case
+val make_case : ?memo:Effect.memo -> ?weight:Effect.rexpr -> Effect.t -> case
 (** Build a case, compiling the weight (default [RConst 1.0]) and the
-    effect. *)
+    effect ({!Effect.compile}, sharing through [memo] when given). *)
 
 val make :
   id:int ->

@@ -217,6 +217,42 @@ let static_writes eff = static_sets ~cond:(fun acc _ -> acc) op_writes eff
 
 (* Compilation *)
 
+(* Guards and the generic [If]/[Pick] conditions of effect programs sit
+   on the executor's hot path, so compile the condition tree to nested
+   closures instead of interpreting it: small conjunctions/disjunctions
+   become direct [&&]/[||] chains, leaf comparisons specialize per
+   relation. *)
+let rec cond_fn c =
+  match c with
+  | Const b -> fun _ -> b
+  | Cmp (Mark p, rel, Int k) -> (
+      match rel with
+      | Eq -> fun m -> Marking.get m p = k
+      | Ne -> fun m -> Marking.get m p <> k
+      | Lt -> fun m -> Marking.get m p < k
+      | Le -> fun m -> Marking.get m p <= k
+      | Gt -> fun m -> Marking.get m p > k
+      | Ge -> fun m -> Marking.get m p >= k)
+  | Cmp (a, rel, b) -> fun m -> rel_holds rel (eval m a) (eval m b)
+  | All cs -> (
+      match List.map cond_fn cs with
+      | [] -> fun _ -> true
+      | [ f ] -> f
+      | [ f; g ] -> fun m -> f m && g m
+      | [ f; g; h ] -> fun m -> f m && g m && h m
+      | [ f; g; h; i ] -> fun m -> f m && g m && h m && i m
+      | fs -> fun m -> List.for_all (fun f -> f m) fs)
+  | Any cs -> (
+      match List.map cond_fn cs with
+      | [] -> fun _ -> false
+      | [ f ] -> f
+      | [ f; g ] -> fun m -> f m || g m
+      | [ f; g; h ] -> fun m -> f m || g m || h m
+      | fs -> fun m -> List.exists (fun f -> f m) fs)
+  | Not c ->
+      let f = cond_fn c in
+      fun m -> not (f m)
+
 type cop =
   | CAdd of Place.t * int
   | CSet of Place.t * int
@@ -228,7 +264,7 @@ type cop =
 type pcond =
   | KConst of bool
   | KCmpc of Place.t * rel * int
-  | KGen of cond
+  | KGen of (Marking.t -> bool)
 
 type prog =
   | PSkip
@@ -272,10 +308,36 @@ let compile_cond c =
   match c with
   | Const b -> KConst b
   | Cmp (Mark p, rel, e) -> (
-      match const_iexpr e with Some k -> KCmpc (p, rel, k) | None -> KGen c)
-  | _ -> KGen c
+      match const_iexpr e with
+      | Some k -> KCmpc (p, rel, k)
+      | None -> KGen (cond_fn c))
+  | _ -> KGen (cond_fn c)
 
-let rec compile eff =
+(* Compiled subterms remembered by physical identity: a subterm embedded
+   in many effects (the same OCaml value, as ITUA's exclusion responses
+   are) compiles once when the compiles share a memo. Only subterms whose
+   compilation took at least [share_min_steps] steps are kept, so the
+   [==] scan stays short and small models pay next to nothing. *)
+type memo = { mutable shared : (t * prog) list; mutable steps : int }
+
+let memo () = { shared = []; steps = 0 }
+let share_min_steps = 64
+
+let rec compile_in memo eff =
+  match (memo, eff) with
+  | None, _ | Some _, (Skip | Ops _) -> compile_step memo eff
+  | Some mm, (Seq _ | If _ | Pick _) -> (
+      match List.assq_opt eff mm.shared with
+      | Some p -> p
+      | None ->
+          let before = mm.steps in
+          let p = compile_step memo eff in
+          if mm.steps - before >= share_min_steps then
+            mm.shared <- (eff, p) :: mm.shared;
+          p)
+
+and compile_step memo eff =
+  (match memo with Some mm -> mm.steps <- mm.steps + 1 | None -> ());
   match eff with
   | Skip -> PSkip
   | Ops ops -> (
@@ -294,7 +356,7 @@ let rec compile eff =
       let progs =
         List.concat_map
           (fun e ->
-            match compile e with
+            match compile_in memo e with
             | PSkip -> []
             | PSeq ps -> Array.to_list ps
             | p -> [ p ])
@@ -306,17 +368,20 @@ let rec compile eff =
       | ps -> PSeq (Array.of_list ps))
   | If (c, a, b) -> (
       match compile_cond c with
-      | KConst true -> compile a
-      | KConst false -> compile b
-      | k -> PIf (k, compile a, compile b))
+      | KConst true -> compile_in memo a
+      | KConst false -> compile_in memo b
+      | k -> PIf (k, compile_in memo a, compile_in memo b))
   | Pick bs ->
       PPick
-        (Array.of_list (List.map (fun (c, e) -> (compile_cond c, compile e)) bs))
+        (Array.of_list
+           (List.map (fun (c, e) -> (compile_cond c, compile_in memo e)) bs))
+
+let compile ?memo eff = compile_in memo eff
 
 let pcond_holds m = function
   | KConst b -> b
   | KCmpc (p, rel, k) -> rel_holds rel (Marking.get m p) k
-  | KGen c -> holds m c
+  | KGen f -> f m
 
 let run_cop m = function
   | CAdd (p, k) -> Marking.add m p k
@@ -355,41 +420,6 @@ let rec run_prog ctx prog m =
       | [ only ] -> run_prog ctx only m
       | choices ->
           run_prog ctx (Prng.Stream.choose_list (stream_exn ctx) choices) m)
-
-(* Guards sit on the executor's re-evaluation hot path, so compile the
-   condition tree to nested closures instead of interpreting it: small
-   conjunctions/disjunctions become direct [&&]/[||] chains, leaf
-   comparisons specialize per relation. *)
-let rec cond_fn c =
-  match c with
-  | Const b -> fun _ -> b
-  | Cmp (Mark p, rel, Int k) -> (
-      match rel with
-      | Eq -> fun m -> Marking.get m p = k
-      | Ne -> fun m -> Marking.get m p <> k
-      | Lt -> fun m -> Marking.get m p < k
-      | Le -> fun m -> Marking.get m p <= k
-      | Gt -> fun m -> Marking.get m p > k
-      | Ge -> fun m -> Marking.get m p >= k)
-  | Cmp (a, rel, b) -> fun m -> rel_holds rel (eval m a) (eval m b)
-  | All cs -> (
-      match List.map cond_fn cs with
-      | [] -> fun _ -> true
-      | [ f ] -> f
-      | [ f; g ] -> fun m -> f m && g m
-      | [ f; g; h ] -> fun m -> f m && g m && h m
-      | [ f; g; h; i ] -> fun m -> f m && g m && h m && i m
-      | fs -> fun m -> List.for_all (fun f -> f m) fs)
-  | Any cs -> (
-      match List.map cond_fn cs with
-      | [] -> fun _ -> false
-      | [ f ] -> f
-      | [ f; g ] -> fun m -> f m || g m
-      | [ f; g; h ] -> fun m -> f m || g m || h m
-      | fs -> fun m -> List.exists (fun f -> f m) fs)
-  | Not c ->
-      let f = cond_fn c in
-      fun m -> not (f m)
 
 (* Rate expressions compile the same way: constants become constant
    closures (the builder then folds them into preallocated [Dist.t]

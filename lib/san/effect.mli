@@ -136,7 +136,8 @@ type cop =
 type pcond =
   | KConst of bool
   | KCmpc of Place.t * rel * int  (** [m(p) rel k] — the common guard *)
-  | KGen of cond
+  | KGen of (Marking.t -> bool)
+      (** any other condition, compiled by {!cond_fn} *)
 
 type prog =
   | PSkip
@@ -147,9 +148,18 @@ type prog =
   | PIf of pcond * prog * prog
   | PPick of (pcond * prog) array
 
-val compile : t -> prog
+type memo
+(** Compiled subterms, remembered by physical identity. *)
+
+val memo : unit -> memo
+(** An empty memo. [Model.Builder] keeps one per model. *)
+
+val compile : ?memo:memo -> t -> prog
 (** Compile once at model-build time; constant expressions are folded and
-    all-constant-increment op lists become flat {!PAddc} arc arrays. *)
+    all-constant-increment op lists become flat {!PAddc} arc arrays. With
+    [memo], a large subterm that is physically shared between effects
+    (the same value embedded in several terms) compiles once and its
+    program is shared too; the result runs exactly as without it. *)
 
 val run_prog : ctx -> prog -> Marking.t -> unit
 (** Execute a compiled program. Equivalent to {!apply} on the source term

@@ -5,12 +5,12 @@ type t = {
   journalled : Bytes.t;  (* one flag per uid to dedupe journal entries *)
 }
 
-let create ~ints ~floats =
+let of_arrays ints floats =
   {
-    ints = Array.make ints 0;
-    floats = Array.make floats 0.0;
+    ints = Array.copy ints;
+    floats = Array.copy floats;
     journal = [];
-    journalled = Bytes.make (ints + floats) '\000';
+    journalled = Bytes.make (Array.length ints + Array.length floats) '\000';
   }
 
 let copy m =

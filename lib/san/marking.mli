@@ -11,8 +11,12 @@
 
 type t
 
-val create : ints:int -> floats:int -> t
-(** Fresh marking with the given numbers of slots, all zero. *)
+val of_arrays : int array -> float array -> t
+(** [of_arrays ints floats] is a marking holding copies of [ints] and
+    [floats], indexed like {!Place.index}/{!Place.findex}, with an empty
+    journal. Values are not checked: callers pass the model's validated
+    initial marking or a snapshot of a marking ({!int_snapshot},
+    {!float_snapshot}). *)
 
 val copy : t -> t
 (** Deep copy (journal not copied). Used for state-space exploration. *)

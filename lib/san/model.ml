@@ -8,6 +8,10 @@ type t = {
   by_place_name : (string, Place.any) Hashtbl.t;
   by_activity_name : (string, Activity.t) Hashtbl.t;
   dependents : int array array;  (* place uid -> activity ids *)
+  inst_ids : int array;  (* ids of the instantaneous activities, ascending *)
+  guard_dependents : int array array;
+      (* place uid -> ids of the instantaneous activities whose IR guard
+         reads it *)
 }
 
 module Builder = struct
@@ -18,10 +22,14 @@ module Builder = struct
     mutable ints : (Place.t * int) list;  (* reversed *)
     mutable floats : (Place.fl * float) list;
     mutable acts : Activity.t list;
+    mutable n_ints : int;  (* lengths of the three lists *)
+    mutable n_floats : int;
+    mutable n_acts : int;
     names : (string, unit) Hashtbl.t;
     act_names : (string, unit) Hashtbl.t;
     mutable next_uid : int;
     mutable built : bool;
+    memo : Effect.memo;  (* effects compiled through the entry points *)
   }
 
   let create bname =
@@ -30,10 +38,14 @@ module Builder = struct
       ints = [];
       floats = [];
       acts = [];
+      n_ints = 0;
+      n_floats = 0;
+      n_acts = 0;
       names = Hashtbl.create 64;
       act_names = Hashtbl.create 64;
       next_uid = 0;
       built = false;
+      memo = Effect.memo ();
     }
 
   let check_fresh b what tbl name =
@@ -47,18 +59,18 @@ module Builder = struct
     if init < 0 then
       invalid_arg
         (Printf.sprintf "Model.Builder: place %S initial marking < 0" name);
-    let p = Place.make_int ~name ~index:(List.length b.ints) ~uid:b.next_uid in
+    let p = Place.make_int ~name ~index:b.n_ints ~uid:b.next_uid in
     b.next_uid <- b.next_uid + 1;
     b.ints <- (p, init) :: b.ints;
+    b.n_ints <- b.n_ints + 1;
     p
 
   let float_place b ?(init = 0.0) name =
     check_fresh b "place" b.names name;
-    let p =
-      Place.make_float ~name ~index:(List.length b.floats) ~uid:b.next_uid
-    in
+    let p = Place.make_float ~name ~index:b.n_floats ~uid:b.next_uid in
     b.next_uid <- b.next_uid + 1;
     b.floats <- (p, init) :: b.floats;
+    b.n_floats <- b.n_floats + 1;
     p
 
   let activity b ~name ~timing ~guard ~reads cases =
@@ -68,10 +80,11 @@ module Builder = struct
         (Printf.sprintf "Model.Builder: activity %S needs at least one case"
            name);
     let act =
-      Activity.make ~id:(List.length b.acts) ~name ~timing ~guard ~reads
+      Activity.make ~id:b.n_acts ~name ~timing ~guard ~reads
         (Array.of_list cases)
     in
-    b.acts <- act :: b.acts
+    b.acts <- act :: b.acts;
+    b.n_acts <- b.n_acts + 1
 
   let timed b ~name ?(policy = Activity.Resample) ~dist ~guard ~reads cases =
     activity b ~name ~timing:(Activity.Timed { dist; policy }) ~guard ~reads
@@ -79,7 +92,7 @@ module Builder = struct
 
   let timed_exp b ~name ?policy ~rate ~guard ~reads effect =
     timed b ~name ?policy ~dist:(Activity.DExp rate) ~guard ~reads
-      [ Activity.make_case effect ]
+      [ Activity.make_case ~memo:b.memo effect ]
 
   let timed_exp_cases b ~name ?policy ~rate ~guard ~reads cases =
     let cases =
@@ -90,14 +103,14 @@ module Builder = struct
               (Printf.sprintf
                  "Model.Builder: activity %S has negative case probability"
                  name);
-          Activity.make_case ~weight:(Effect.RConst w) effect)
+          Activity.make_case ~memo:b.memo ~weight:(Effect.RConst w) effect)
         cases
     in
     timed b ~name ?policy ~dist:(Activity.DExp rate) ~guard ~reads cases
 
   let instantaneous b ~name ~guard ~reads effect =
     activity b ~name ~timing:Activity.Instantaneous ~guard ~reads
-      [ Activity.make_case effect ]
+      [ Activity.make_case ~memo:b.memo effect ]
 
   let build b =
     if b.built then invalid_arg "Model.Builder.build: already built";
@@ -116,16 +129,27 @@ module Builder = struct
     Array.iter
       (fun (a : Activity.t) -> Hashtbl.replace by_activity_name a.name a)
       activities;
+    (* Both dependency tables are filled from the last activity to the
+       first, so every list comes out in ascending id order; places with
+       no reader share the empty array. *)
     let n_uids = b.next_uid in
     let deps = Array.make n_uids [] in
-    Array.iter
-      (fun (a : Activity.t) ->
+    let gdeps = Array.make n_uids [] in
+    let inst = ref [] in
+    for id = Array.length activities - 1 downto 0 do
+      let a = activities.(id) in
+      List.iter
+        (fun pl ->
+          let uid = Place.any_uid pl in
+          deps.(uid) <- id :: deps.(uid))
+        a.Activity.reads;
+      if Activity.is_instantaneous a then begin
+        inst := id :: !inst;
         List.iter
-          (fun pl ->
-            let uid = Place.any_uid pl in
-            deps.(uid) <- a.Activity.id :: deps.(uid))
-          a.Activity.reads)
-      activities;
+          (fun uid -> gdeps.(uid) <- id :: gdeps.(uid))
+          (Effect.cond_reads a.Activity.guard)
+      end
+    done;
     {
       name = b.bname;
       int_places = Array.map fst ints;
@@ -135,7 +159,9 @@ module Builder = struct
       activities;
       by_place_name;
       by_activity_name;
-      dependents = Array.map (fun l -> Array.of_list (List.rev l)) deps;
+      dependents = Array.map Array.of_list deps;
+      inst_ids = Array.of_list !inst;
+      guard_dependents = Array.map Array.of_list gdeps;
     }
 end
 
@@ -163,21 +189,14 @@ let find_activity m s =
   | Some a -> a
   | None -> raise Not_found
 
-let initial_marking m =
-  let mk =
-    Marking.create
-      ~ints:(Array.length m.int_places)
-      ~floats:(Array.length m.float_places)
-  in
-  Array.iteri (fun i p -> Marking.set mk p m.initial_ints.(i)) m.int_places;
-  Array.iteri (fun i p -> Marking.fset mk p m.initial_floats.(i)) m.float_places;
-  Marking.clear_journal mk;
-  mk
+let initial_marking m = Marking.of_arrays m.initial_ints m.initial_floats
 
-let dependents m uid =
-  if uid < 0 || uid >= Array.length m.dependents then []
-  else
-    Array.to_list (Array.map (fun id -> m.activities.(id)) m.dependents.(uid))
+let table_row tbl uid =
+  if uid < 0 || uid >= Array.length tbl then [||] else tbl.(uid)
+
+let dependents m uid = table_row m.dependents uid
+let instantaneous_ids m = m.inst_ids
+let guard_dependents m uid = table_row m.guard_dependents uid
 
 let all_exponential m =
   let mk = initial_marking m in
@@ -189,15 +208,10 @@ let all_exponential m =
     m.activities
 
 let pp_summary ppf m =
-  let inst =
-    Array.fold_left
-      (fun acc a -> if Activity.is_instantaneous a then acc + 1 else acc)
-      0 m.activities
-  in
   Format.fprintf ppf
     "model %S: %d int places, %d float places, %d activities (%d inst.)"
     m.name
     (Array.length m.int_places)
     (Array.length m.float_places)
     (Array.length m.activities)
-    inst
+    (Array.length m.inst_ids)

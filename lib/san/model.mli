@@ -31,7 +31,12 @@ module Builder : sig
       {!Effect.rexpr} and effects as {!Effect.t} terms. The executor's
       closures are compiled from that data, and the whole activity is
       readable by structural analysis and serializable ([Serial],
-      [itua_sim save]). *)
+      [itua_sim save]).
+
+      The effects given to {!timed_exp}, {!timed_exp_cases} and
+      {!instantaneous} compile through one {!Effect.memo} per builder: a
+      large effect term built once and embedded in many activities
+      compiles once, and its program is shared by all of them. *)
 
   val activity :
     t ->
@@ -112,11 +117,30 @@ val find_activity : t -> string -> Activity.t
 (** Lookup by exact name; raises [Not_found]. *)
 
 val initial_marking : t -> Marking.t
-(** A fresh marking set to the model's initial state. *)
+(** A fresh marking set to the model's initial state (two array copies
+    of the stored template). *)
 
-val dependents : t -> int -> Activity.t list
-(** [dependents model uid] lists the activities that declared the place
-    with uid [uid] in their [reads]. *)
+(** {2 Per-model tables}
+
+    Built once by {!Builder.build} and shared by every execution of the
+    model. The arrays returned below {e are} the model's own tables:
+    treat them as read-only. *)
+
+val dependents : t -> int -> int array
+(** [dependents model uid] is the ids, ascending, of the activities that
+    declared the place with uid [uid] in their [reads] (empty for an
+    unknown uid). *)
+
+val instantaneous_ids : t -> int array
+(** Ids of the instantaneous activities, ascending. *)
+
+val guard_dependents : t -> int -> int array
+(** [guard_dependents model uid] is the ids, ascending, of the
+    instantaneous activities whose guard reads the place with uid [uid]
+    according to the IR ({!Effect.cond_reads}) — declared [reads] play no
+    part. A guard is a function of exactly these places, so an
+    instantaneous activity's enabling can only change when one of them
+    does. *)
 
 val all_exponential : t -> bool
 (** True when every timed activity's distribution is exponential in every

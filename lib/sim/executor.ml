@@ -23,7 +23,7 @@ type checkpoint = {
   cp_marking : San.Marking.t;
   cp_heap : Event_heap.t;
   cp_versions : int array;
-  cp_scheduled : bool array;
+  cp_scheduled : Bytes.t;
   cp_now : float;
 }
 
@@ -38,21 +38,25 @@ type state = {
   model : San.Model.t;
   cfg : config;
   stream : Prng.Stream.t;
+  ctx : San.Effect.ctx;  (* [stream], as effect programs take it *)
   prof : Obs.Profile.t option;
   marking : San.Marking.t;
   heap : Event_heap.t;
   versions : int array;  (* per activity: current scheduling version *)
-  scheduled : bool array;  (* per activity: has a live heap entry *)
-  inst_ids : int array;  (* ids of instantaneous activities *)
-  acts : San.Activity.t array;
-  deps : San.Activity.t array array;  (* place uid -> reading activities *)
+  scheduled : Bytes.t;  (* per activity: has a live heap entry *)
+  acts : San.Activity.t array;  (* the model's own array *)
+  inst_ids : int array;  (* the model's instantaneous ids, ascending *)
+  inst_on : Bytes.t;  (* per activity: instantaneous and enabled *)
+  mutable n_on : int;  (* number of set flags in [inst_on] *)
   seen : int array;  (* per activity: generation stamp (see propagate) *)
   mutable gen : int;
   mutable now : float;
   mutable events : int;
-  (* Run-local telemetry. Counted unconditionally (an int bump is cheaper
-     than testing an option per event) and folded into the caller's
-     Metrics sink, if any, once at the end of the run. *)
+  (* Run-local telemetry, folded into the caller's Metrics sink once at
+     the end of the run. The scalar counters are bumped unconditionally;
+     the per-activity arrays exist only when a sink was given ([counting]),
+     so a plain run allocates no activity-sized array it never reads. *)
+  counting : bool;
   firings : int array;
   cancellations : int array;
   resamples : int array;
@@ -74,6 +78,16 @@ let[@inline] penter st ph =
 let[@inline] pleave st =
   match st.prof with None -> () | Some p -> Obs.Profile.leave p
 
+(* Per-activity flags, one byte each: an eighth of a bool array, so a
+   run's flag sets stay small enough for the minor heap. *)
+let[@inline] flag b id = Bytes.unsafe_get b id <> '\000'
+
+let[@inline] set_flag b id v =
+  Bytes.unsafe_set b id (if v then '\001' else '\000')
+
+let[@inline] bump st counters id =
+  if st.counting then counters.(id) <- counters.(id) + 1
+
 let sample_delay st (a : San.Activity.t) =
   match a.timing with
   | San.Activity.Instantaneous -> assert false
@@ -89,31 +103,46 @@ let schedule st (a : San.Activity.t) =
   Event_heap.push st.heap ~time:(st.now +. delay) ~act:a.id
     ~version:st.versions.(a.id);
   pleave st;
-  st.scheduled.(a.id) <- true
+  set_flag st.scheduled a.id true
 
 let cancel st id =
   st.versions.(id) <- st.versions.(id) + 1;
-  st.scheduled.(id) <- false
+  set_flag st.scheduled id false
 
 (* Re-evaluate one timed activity after a marking change it depends on. *)
-let reevaluate st (a : San.Activity.t) =
-  match a.timing with
-  | San.Activity.Instantaneous -> ()
-  | San.Activity.Timed { policy; _ } ->
-      if a.enabled st.marking then begin
-        if not st.scheduled.(a.id) then schedule st a
-        else
-          match policy with
-          | San.Activity.Keep -> ()
-          | San.Activity.Resample ->
-              st.resamples.(a.id) <- st.resamples.(a.id) + 1;
-              cancel st a.id;
-              schedule st a
-      end
-      else if st.scheduled.(a.id) then begin
-        st.cancellations.(a.id) <- st.cancellations.(a.id) + 1;
-        cancel st a.id
-      end
+let reevaluate st (a : San.Activity.t) policy =
+  if a.enabled st.marking then begin
+    if not (flag st.scheduled a.id) then schedule st a
+    else
+      match policy with
+      | San.Activity.Keep -> ()
+      | San.Activity.Resample ->
+          bump st st.resamples a.id;
+          cancel st a.id;
+          schedule st a
+  end
+  else if flag st.scheduled a.id then begin
+    bump st st.cancellations a.id;
+    cancel st a.id
+  end
+
+(* Re-test one instantaneous guard, keeping [n_on] in step. *)
+let retest st id =
+  let on = st.acts.(id).San.Activity.enabled st.marking in
+  if on <> flag st.inst_on id then begin
+    set_flag st.inst_on id on;
+    st.n_on <- (if on then st.n_on + 1 else st.n_on - 1)
+  end
+
+(* The [k]-th enabled instantaneous activity in ascending id order. *)
+let nth_on st k =
+  let rec go i k =
+    let id = st.inst_ids.(i) in
+    if not (flag st.inst_on id) then go (i + 1) k
+    else if k = 0 then id
+    else go (i + 1) (k - 1)
+  in
+  go 0 k
 
 let select_case st (a : San.Activity.t) =
   if Array.length a.cases = 1 then 0
@@ -129,75 +158,78 @@ let select_case st (a : San.Activity.t) =
    [Effect.apply] on the source term does (pinned by a test). *)
 let fire st (a : San.Activity.t) case =
   San.Marking.clear_journal st.marking;
-  let ctx = { San.Effect.stream = Some st.stream } in
-  San.Effect.run_prog ctx a.cases.(case).San.Activity.prog st.marking;
-  st.firings.(a.id) <- st.firings.(a.id) + 1;
+  San.Effect.run_prog st.ctx a.cases.(case).San.Activity.prog st.marking;
+  bump st st.firings a.id;
   San.Marking.journal st.marking
 
 (* Propagate a marking change: re-evaluate the fired activity and every
-   activity that reads a changed place, each at most once. Deduplication
-   uses a generation-stamped scratch array instead of a per-event table:
-   bumping [gen] invalidates every stamp at once, so the only per-event
-   cost is the activities actually visited. *)
+   timed activity that declared a changed place in its reads, and re-test
+   every instantaneous guard that reads a changed place according to the
+   IR ([San.Model.guard_dependents]), each activity at most once.
+   Deduplication uses a generation-stamped scratch array instead of a
+   per-event table: bumping [gen] invalidates every stamp at once, so the
+   only per-event cost is the activities actually visited. Instantaneous
+   activities are skipped in the declared-reads table without a stamp, so
+   the guard table still reaches them. *)
 let propagate st (fired : San.Activity.t option) changed =
   penter st Obs.Profile.Propagate;
   st.gen <- st.gen + 1;
   let g = st.gen in
   (match fired with
-  | Some a ->
-      st.seen.(a.San.Activity.id) <- g;
-      reevaluate st a
-  | None -> ());
+  | Some ({ timing = San.Activity.Timed { policy; _ }; _ } as a) ->
+      st.seen.(a.id) <- g;
+      reevaluate st a policy
+  | Some { timing = San.Activity.Instantaneous; _ } | None -> ());
   List.iter
     (fun uid ->
-      let deps = st.deps.(uid) in
+      let deps = San.Model.dependents st.model uid in
       for i = 0 to Array.length deps - 1 do
-        let a = deps.(i) in
-        if st.seen.(a.San.Activity.id) <> g then begin
-          st.seen.(a.San.Activity.id) <- g;
-          reevaluate st a
+        let id = deps.(i) in
+        match st.acts.(id) with
+        | { timing = San.Activity.Timed { policy; _ }; _ } as a ->
+            if st.seen.(id) <> g then begin
+              st.seen.(id) <- g;
+              reevaluate st a policy
+            end
+        | { timing = San.Activity.Instantaneous; _ } -> ()
+      done;
+      let gdeps = San.Model.guard_dependents st.model uid in
+      for i = 0 to Array.length gdeps - 1 do
+        let id = gdeps.(i) in
+        if st.seen.(id) <> g then begin
+          st.seen.(id) <- g;
+          retest st id
         end
       done)
     changed;
   pleave st
 
-let enabled_instantaneous st =
-  Array.fold_left
-    (fun acc id ->
-      let a = st.acts.(id) in
-      if a.San.Activity.enabled st.marking then a :: acc else acc)
-    [] st.inst_ids
-  |> List.rev
-
 (* Fire enabled instantaneous activities until none remain, choosing
-   uniformly among the enabled set at each step.  [notify] is None during
-   t = 0 setup (observers do not see setup firings). *)
+   uniformly among the enabled set at each step: one [Stream.int n_on]
+   draw picks the k-th enabled id in ascending order, the draw
+   [Stream.choose_list] makes on the ordered enabled list.  [notify] is
+   None during t = 0 setup (observers do not see setup firings). *)
 let stabilize st ~notify =
   penter st Obs.Profile.Stabilize;
   let steps = ref 0 in
-  let rec loop () =
-    match enabled_instantaneous st with
-    | [] -> ()
-    | enabled ->
-        incr steps;
-        if !steps > st.cfg.max_inst_chain then
-          raise
-            (Stabilization_diverged
-               (Printf.sprintf
-                  "more than %d consecutive instantaneous firings at t=%g"
-                  st.cfg.max_inst_chain st.now));
-        let a = Prng.Stream.choose_list st.stream enabled in
-        let case = select_case st a in
-        let changed = fire st a case in
-        propagate st None changed;
-        (match notify with
-        | Some (observer : Observer.t) ->
-            st.events <- st.events + 1;
-            observer.on_fire st.now a case st.marking
-        | None -> st.setup_events <- st.setup_events + 1);
-        loop ()
-  in
-  loop ();
+  while st.n_on > 0 do
+    incr steps;
+    if !steps > st.cfg.max_inst_chain then
+      raise
+        (Stabilization_diverged
+           (Printf.sprintf
+              "more than %d consecutive instantaneous firings at t=%g"
+              st.cfg.max_inst_chain st.now));
+    let a = st.acts.(nth_on st (Prng.Stream.int st.stream st.n_on)) in
+    let case = select_case st a in
+    let changed = fire st a case in
+    propagate st None changed;
+    match notify with
+    | Some (observer : Observer.t) ->
+        st.events <- st.events + 1;
+        observer.on_fire st.now a case st.marking
+    | None -> st.setup_events <- st.setup_events + 1
+  done;
   if !steps > 0 then begin
     st.chains <- st.chains + 1;
     st.chain_steps <- st.chain_steps + !steps;
@@ -207,31 +239,27 @@ let stabilize st ~notify =
 
 (* Build executor state: fresh from the model's initial marking, or a
    private copy of a checkpoint (so several clones can resume from the
-   same checkpoint, concurrently, without sharing mutable state). *)
-let make_state ~model ~cfg ~stream ~prof ~from_ =
+   same checkpoint, concurrently, without sharing mutable state). The
+   activity array, the dependency tables and the instantaneous ids are
+   the model's own, built once by [San.Model.Builder.build]; a run
+   allocates only its marking (two array copies of the model's initial
+   one), its scheduling state and, with [counting], its per-activity
+   counters. The instantaneous enabled set is filled by one scan of their
+   guards — at a checkpoint, a stable marking, it comes out empty. *)
+let make_state ~model ~cfg ~stream ~prof ~counting ~from_ =
   let acts = San.Model.activities model in
   let n = Array.length acts in
-  let inst_ids =
-    Array.of_list
-      (Array.to_list acts
-      |> List.filter San.Activity.is_instantaneous
-      |> List.map (fun (a : San.Activity.t) -> a.id))
-  in
-  let deps =
-    Array.init (San.Model.n_places model) (fun uid ->
-        Array.of_list (San.Model.dependents model uid))
-  in
+  let inst_ids = San.Model.instantaneous_ids model in
+  let counters () = Array.make (if counting then n else 0) 0 in
   let marking, heap, versions, scheduled, now =
     match from_ with
     | None ->
         ( San.Model.initial_marking model,
           Event_heap.create (),
           Array.make n 0,
-          Array.make n false,
+          Bytes.make n '\000',
           0.0 )
     | Some cp ->
-        if Array.length cp.cp_versions <> n then
-          invalid_arg "Executor: checkpoint is from a different model";
         (match prof with
         | None -> ()
         | Some p -> Obs.Profile.enter p Obs.Profile.Checkpoint);
@@ -239,40 +267,47 @@ let make_state ~model ~cfg ~stream ~prof ~from_ =
           ( San.Marking.copy cp.cp_marking,
             Event_heap.copy cp.cp_heap,
             Array.copy cp.cp_versions,
-            Array.copy cp.cp_scheduled,
+            Bytes.copy cp.cp_scheduled,
             cp.cp_now )
         in
         (match prof with None -> () | Some p -> Obs.Profile.leave p);
         cloned
   in
-  {
-    model;
-    cfg;
-    stream;
-    prof;
-    marking;
-    heap;
-    versions;
-    scheduled;
-    inst_ids;
-    acts;
-    deps;
-    seen = Array.make n 0;
-    gen = 0;
-    now;
-    events = 0;
-    firings = Array.make n 0;
-    cancellations = Array.make n 0;
-    resamples = Array.make n 0;
-    setup_events = 0;
-    chains = 0;
-    chain_steps = 0;
-    max_chain = 0;
-    pops = 0;
-    stale_pops = 0;
-    depth_sum = 0;
-    max_depth = 0;
-  }
+  let st =
+    {
+      model;
+      cfg;
+      stream;
+      ctx = { San.Effect.stream = Some stream };
+      prof;
+      marking;
+      heap;
+      versions;
+      scheduled;
+      acts;
+      inst_ids;
+      inst_on = Bytes.make n '\000';
+      n_on = 0;
+      seen = Array.make n 0;
+      gen = 0;
+      now;
+      events = 0;
+      counting;
+      firings = counters ();
+      cancellations = counters ();
+      resamples = counters ();
+      setup_events = 0;
+      chains = 0;
+      chain_steps = 0;
+      max_chain = 0;
+      pops = 0;
+      stale_pops = 0;
+      depth_sum = 0;
+      max_depth = 0;
+    }
+  in
+  Array.iter (retest st) inst_ids;
+  st
 
 let checkpoint_of st =
   penter st Obs.Profile.Checkpoint;
@@ -281,7 +316,7 @@ let checkpoint_of st =
       cp_marking = San.Marking.copy st.marking;
       cp_heap = Event_heap.copy st.heap;
       cp_versions = Array.copy st.versions;
-      cp_scheduled = Array.copy st.scheduled;
+      cp_scheduled = Bytes.copy st.scheduled;
       cp_now = st.now;
     }
   in
@@ -298,7 +333,21 @@ let checkpoint_of st =
    trajectory is not finished — a clone will continue it. *)
 let exec ?metrics ?profile ?from_ ?cross ?check_invariants ~model ~config:cfg
     ~stream ~observer:(observer : Observer.t) () =
-  let st = make_state ~model ~cfg ~stream ~prof:profile ~from_ in
+  (match from_ with
+  | Some cp
+    when Array.length cp.cp_versions
+         <> Array.length (San.Model.activities model) ->
+      invalid_arg "Executor: checkpoint is from a different model"
+  | Some _ | None -> ());
+  (* Per-replication setup, t = 0 stabilization included (nested as its
+     own phase), is charged to [Setup]. *)
+  (match profile with
+  | None -> ()
+  | Some p -> Obs.Profile.enter p Obs.Profile.Setup);
+  let st =
+    make_state ~model ~cfg ~stream ~prof:profile
+      ~counting:(Option.is_some metrics) ~from_
+  in
   let guard () =
     match check_invariants with None -> () | Some f -> f st.marking
   in
@@ -313,7 +362,7 @@ let exec ?metrics ?profile ?from_ ?cross ?check_invariants ~model ~config:cfg
         (fun (a : San.Activity.t) ->
           if
             (not (San.Activity.is_instantaneous a))
-            && (not st.scheduled.(a.id))
+            && (not (flag st.scheduled a.id))
             && a.enabled st.marking
           then schedule st a)
         st.acts
@@ -321,6 +370,7 @@ let exec ?metrics ?profile ?from_ ?cross ?check_invariants ~model ~config:cfg
       (* Checkpoints are taken at stable markings with every enabled timed
          activity already scheduled in the copied heap: nothing to set up. *)
       ());
+  pleave st;
   guard ();
   observer.Observer.on_init st.now st.marking;
   let stopped = ref false in
@@ -364,7 +414,7 @@ let exec ?metrics ?profile ?from_ ?cross ?check_invariants ~model ~config:cfg
               observer.Observer.on_advance st.now entry.time st.marking;
             st.now <- entry.time;
             last_event_time := entry.time;
-            st.scheduled.(a.id) <- false;
+            set_flag st.scheduled a.id false;
             st.versions.(a.id) <- st.versions.(a.id) + 1;
             let case = select_case st a in
             let changed = fire st a case in

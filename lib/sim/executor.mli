@@ -6,9 +6,21 @@
     resample their sampled completion times according to their reactivation
     policy, and activities disabled by a marking change are aborted.
 
-    One call to {!run} is one replication: it allocates a fresh marking,
-    so a model can be executed repeatedly (and concurrently from multiple
-    domains). *)
+    Work that depends only on the model is done once, by
+    {!San.Model.Builder.build}, and shared read-only by every run: the
+    activity array, the declared-reads dependency table
+    ({!San.Model.dependents}), the instantaneous-activity ids and their
+    guard-reads table ({!San.Model.guard_dependents}), the initial marking
+    template and every compiled guard, rate and effect program. One call
+    to {!run} is one replication: it copies the initial marking and
+    allocates its own scheduling state, so a model can be executed
+    repeatedly (and concurrently from multiple domains).
+
+    Timed activities are re-examined when a place in their declared
+    [reads] changes. Instantaneous activities are kept in an enabled set
+    that is updated when a place their guard reads according to the IR
+    changes — their declared [reads] play no part — so the executor never
+    scans every instantaneous guard after a firing. *)
 
 exception Stabilization_diverged of string
 (** Raised when a chain of instantaneous firings exceeds the configured

@@ -210,6 +210,45 @@ let test_prog_matches_apply () =
   let runs, _ = check_prog_matches_apply h.Itua.Model.model in
   Alcotest.(check bool) "ITUA 1x1x1x1 exercised" true (runs > 1000)
 
+(* A memo compiles a large subterm shared by several effects once: both
+   programs hold the same compiled value, and each still runs as [apply]
+   does on its source term. Without a memo each effect compiles its own
+   copy. *)
+let test_memo_shares_subterms () =
+  let b = B.create "memo" in
+  let ps = List.init 40 (fun i -> B.int_place b (Printf.sprintf "p%d" i)) in
+  let gate = B.int_place b ~init:1 "gate" in
+  let model = B.build b in
+  let shared =
+    E.Seq
+      (List.map
+         (fun p ->
+           E.If
+             ( E.Cmp (E.Mark p, E.Eq, E.Int 0),
+               E.Ops [ E.Inc (p, E.Int 1) ],
+               E.Skip ))
+         ps)
+  in
+  let on k = E.Cmp (E.Mark gate, E.Eq, E.Int k) in
+  let e1 = E.If (on 1, shared, E.Skip) and e2 = E.If (on 0, shared, E.Skip) in
+  let arm = function
+    | E.PIf (_, p, E.PSkip) -> p
+    | _ -> Alcotest.fail "unexpected program shape"
+  in
+  let memo = E.memo () in
+  let p1 = E.compile ~memo e1 and p2 = E.compile ~memo e2 in
+  Alcotest.(check bool) "shared with a memo" true (arm p1 == arm p2);
+  Alcotest.(check bool) "copied without one" false
+    (arm (E.compile e1) == arm (E.compile e2));
+  List.iter
+    (fun (e, p) ->
+      let m = San.Model.initial_marking model in
+      let m' = M.copy m in
+      E.apply E.null_ctx e m;
+      E.run_prog E.null_ctx p m';
+      Alcotest.(check bool) "run_prog matches apply" true (M.equal m m'))
+    [ (e1, p1); (e2, p2) ]
+
 (* --- A013: declared-reads/writes vs IR, exact --- *)
 
 let test_a013_guard_read_undeclared () =
@@ -453,6 +492,8 @@ let () =
         [
           Alcotest.test_case "run_prog matches apply" `Quick
             test_prog_matches_apply;
+          Alcotest.test_case "memo shares subterms" `Quick
+            test_memo_shares_subterms;
         ] );
       ( "A013",
         [

@@ -483,6 +483,122 @@ let prop_invariants_hold =
       | exception Itua.Invariant.Violation msg ->
           QCheck2.Test.fail_reportf "invariant violated: %s" msg)
 
+(* Every [respond_conviction] dispatches to the same exclusion term for a
+   domain, and the builder's memo compiles it once: two slots' programs
+   hold the same compiled exclusion. *)
+let test_exclusion_programs_shared () =
+  let model = (Itua.Model.build small_params).Itua.Model.model in
+  let first_arm name =
+    match
+      (San.Model.find_activity model name).San.Activity.cases.(0)
+        .San.Activity.prog
+    with
+    | San.Effect.PIf (_, p, _) -> p
+    | _ -> Alcotest.failf "%s: not a dispatch chain" name
+  in
+  Alcotest.(check bool) "one compiled exclusion of domain 0" true
+    (first_arm "app[0].replica[0].respond_conviction"
+    == first_arm "app[1].replica[2].respond_conviction")
+
+(* --- the executor's incremental instantaneous enabled set --- *)
+
+(* An invariant guard re-testing every instantaneous guard through the IR
+   interpreter: no guard may hold at a stable marking. The executor
+   re-tests only the guards whose IR reads a firing changed, so a hole in
+   that bookkeeping shows up here as an enabled activity left behind. *)
+let no_instantaneous_enabled model =
+  let inst =
+    List.filter San.Activity.is_instantaneous
+      (Array.to_list (San.Model.activities model))
+  in
+  fun m ->
+    List.iter
+      (fun (a : San.Activity.t) ->
+        if San.Effect.holds m a.guard then
+          Alcotest.failf "%s enabled at a stable marking" a.name)
+      inst
+
+let itua_stream seed = Prng.Stream.create ~seed:(Int64.of_int seed)
+
+let test_stable_markings_settled () =
+  List.iter
+    (fun (label, p) ->
+      let model = (Itua.Model.build p).Itua.Model.model in
+      let check_invariants = no_instantaneous_enabled model in
+      let fired = ref 0 in
+      let observer =
+        {
+          Sim.Observer.nop with
+          on_fire =
+            (fun _ a _ _ -> if San.Activity.is_instantaneous a then incr fired);
+        }
+      in
+      let config = Sim.Executor.config ~horizon:10.0 () in
+      for seed = 1 to 40 do
+        ignore
+          (Sim.Executor.run ~check_invariants ~model ~config
+             ~stream:(itua_stream seed) ~observer ())
+      done;
+      if !fired = 0 then
+        Alcotest.failf "%s: no instantaneous firing after t = 0" label)
+    [
+      ("domain exclusion", small_params);
+      ( "host exclusion",
+        { small_params with Itua.Params.policy = Itua.Params.Host_exclusion } );
+      ("erlang IDS", { small_params with Itua.Params.ids_latency_stages = 3 });
+    ]
+
+(* Splitting resumes rebuild the enabled set from the checkpoint's
+   marking: a run halted at a level and resumed with the same stream
+   object ends exactly where the uninterrupted run does, and clones
+   resumed on other streams keep every stable marking settled. *)
+let test_resume_rebuilds_enabled_set () =
+  let h =
+    Itua.Model.build
+      { small_params with Itua.Params.policy = Itua.Params.Host_exclusion }
+  in
+  let model = h.Itua.Model.model in
+  let check_invariants = no_instantaneous_enabled model in
+  let config = Sim.Executor.config ~horizon:10.0 () in
+  let importance =
+    Itua.Rare.unreliability ~app:0 h ~levels:Itua.Rare.default_levels
+  in
+  let nop = Sim.Observer.nop in
+  let crossed = ref 0 in
+  for seed = 1 to 20 do
+    let full =
+      Sim.Executor.run ~model ~config ~stream:(itua_stream seed) ~observer:nop
+        ()
+    in
+    let s = itua_stream seed in
+    match
+      Sim.Executor.run_to_level ~check_invariants ~model ~config ~stream:s
+        ~observer:nop ~importance ~threshold:1 ()
+    with
+    | Sim.Executor.Finished _ -> ()
+    | Sim.Executor.Crossed { checkpoint; events } ->
+        incr crossed;
+        let resumed =
+          Sim.Executor.resume ~check_invariants ~model ~config ~stream:s
+            ~observer:nop checkpoint
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: same final marking" seed)
+          true
+          (M.equal full.Sim.Executor.final resumed.Sim.Executor.final);
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d: same events" seed)
+          full.Sim.Executor.events
+          (events + resumed.Sim.Executor.events);
+        for clone = 1 to 3 do
+          ignore
+            (Sim.Executor.resume ~check_invariants ~model ~config
+               ~stream:(itua_stream (1000 + clone))
+               ~observer:nop checkpoint)
+        done
+  done;
+  if !crossed = 0 then Alcotest.fail "no run crossed level 1"
+
 (* --- non-exponential IDS latency (the paper's non-Markovian regime) --- *)
 
 let test_erlang_ids_runs_with_invariants () =
@@ -907,6 +1023,18 @@ let () =
             test_itua_model_passes_check;
         ] );
       ("properties", props);
+      ( "shared structure",
+        [
+          Alcotest.test_case "exclusion programs shared" `Quick
+            test_exclusion_programs_shared;
+        ] );
+      ( "enabled set",
+        [
+          Alcotest.test_case "stable markings settled" `Quick
+            test_stable_markings_settled;
+          Alcotest.test_case "resume rebuilds the set" `Quick
+            test_resume_rebuilds_enabled_set;
+        ] );
       ( "non-exponential",
         [
           Alcotest.test_case "erlang IDS with invariants" `Slow

@@ -246,6 +246,7 @@ let test_executor_profile_sums_below_wall () =
     "phases were hit" true
     (P.count p P.Sample > 0 && P.count p P.Heap_pop > 0
     && P.count p P.Propagate > 0);
+  Alcotest.(check int) "one setup phase per run" 20 (P.count p P.Setup);
   Alcotest.(check bool)
     "self-times sum at most measured wall" true
     (P.attributed_seconds p <= wall)

@@ -127,7 +127,7 @@ let test_model_queries () =
   Alcotest.(check string) "activity name" "tick" act.San.Activity.name;
   Alcotest.(check bool) "all exponential" true (San.Model.all_exponential model);
   let deps = San.Model.dependents model (San.Place.uid p) in
-  Alcotest.(check int) "dependency index" 1 (List.length deps)
+  Alcotest.(check int) "dependency index" 1 (Array.length deps)
 
 let test_all_exponential_false () =
   let b = San.Model.Builder.create "m" in

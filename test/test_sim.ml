@@ -141,6 +141,47 @@ let test_instantaneous_chain () =
     "instantaneous at the pulse time" [ 1.0; 1.0 ] !inst_times;
   Alcotest.(check int) "s2 set" 1 (San.Marking.get outcome.Sim.Executor.final s2)
 
+(* Instantaneous enabling follows the guard's IR reads, not the declared
+   [reads]: "react" declares only [done] but its guard also reads [armed],
+   which a timed firing sets. It must still fire, at that instant. *)
+let test_instantaneous_undeclared_guard_read () =
+  let b = San.Model.Builder.create "undeclared" in
+  let armed = San.Model.Builder.int_place b "armed" in
+  let done_ = San.Model.Builder.int_place b "done" in
+  San.Model.Builder.timed b ~name:"arm"
+    ~dist:(San.Activity.DDet (San.Effect.RConst 1.0))
+    ~guard:San.Effect.(Cmp (Mark armed, Eq, Int 0))
+    ~reads:[ San.Place.P armed ]
+    [ San.Activity.make_case San.Effect.(Ops [ Set (armed, Int 1) ]) ];
+  San.Model.Builder.instantaneous b ~name:"react"
+    ~guard:
+      San.Effect.(
+        All [ Cmp (Mark armed, Eq, Int 1); Cmp (Mark done_, Eq, Int 0) ])
+    ~reads:[ San.Place.P done_ ]
+    San.Effect.(Ops [ Set (done_, Int 1) ]);
+  let model = San.Model.Builder.build b in
+  let react = (San.Model.find_activity model "react").San.Activity.id in
+  let armed_uid = San.Place.uid armed in
+  Alcotest.(check (array int)) "declared readers of armed" [| 0 |]
+    (San.Model.dependents model armed_uid);
+  Alcotest.(check (array int)) "guard readers of armed" [| react |]
+    (San.Model.guard_dependents model armed_uid);
+  let inst_times = ref [] in
+  let observer =
+    {
+      Sim.Observer.nop with
+      on_fire =
+        (fun t a _ _ ->
+          if San.Activity.is_instantaneous a then
+            inst_times := t :: !inst_times);
+    }
+  in
+  let outcome = run_simple model ~horizon:2.0 ~seed:5 ~observer in
+  Alcotest.(check (list (float 1e-12))) "react fires with arm" [ 1.0 ]
+    !inst_times;
+  Alcotest.(check int) "done set" 1
+    (San.Marking.get outcome.Sim.Executor.final done_)
+
 let test_stabilization_divergence_detected () =
   let b = San.Model.Builder.create "loop" in
   let p = San.Model.Builder.int_place b ~init:1 "p" in
@@ -1219,6 +1260,8 @@ let () =
           Alcotest.test_case "stop predicate" `Quick test_stop_predicate;
           Alcotest.test_case "instantaneous chain" `Quick
             test_instantaneous_chain;
+          Alcotest.test_case "instantaneous guard read undeclared" `Quick
+            test_instantaneous_undeclared_guard_read;
           Alcotest.test_case "stabilization divergence" `Quick
             test_stabilization_divergence_detected;
           Alcotest.test_case "policy keep" `Quick test_policy_keep;
